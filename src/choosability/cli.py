@@ -117,7 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sp, modes=DECIDE_MODES, default_mode="pipeline")
     sp.add_argument("--pattern-cap", type=int, default=100, metavar="C")
     sp.add_argument("--feasible-cap", type=int, default=25, metavar="C")
-    sp.add_argument("--prune-matching", action="store_true")
+    sp.add_argument(
+        "--prune-matching",
+        action="store_true",
+        help="drop product terms that fail Hakimi's orientation condition",
+    )
 
     sp = sub.add_parser(
         "coefficients", help="print every final truncated-product term"

@@ -299,10 +299,14 @@ def run_truncated_product(
     stats = RunStats()
     n = problem.n
 
-    if prune_matching and mode == "standard":
-        remaining_after = _remaining_edges_after(problem, ordering, position)
-    else:
-        remaining_after = None
+    prune = prune_matching and mode == "standard"
+    hakimi = {}
+
+    def prune_sets(i):
+        """The turn's Hakimi sets, or None when the turn skips the prune."""
+        if prune and i not in hakimi:
+            hakimi[i] = _turn_sets(problem, position, i)
+        return hakimi.get(i)
 
     def run_segment(terms: TermList, start: int) -> bool:
         for i in range(start, n):
@@ -311,8 +315,9 @@ def run_truncated_product(
                 stats.record(len(terms))
                 if len(terms) == 0:
                     return False
-            if remaining_after is not None and i < n - 1:
-                terms = _prune_unreachable(layout, terms, remaining_after[i])
+            sets = prune_sets(i)
+            if sets is not None:
+                terms = _prune_unreachable(layout, terms, sets)
                 if len(terms) == 0:
                     return False
             if branch_limit is not None and len(terms) > branch_limit and i < n - 1:
@@ -333,32 +338,109 @@ def run_truncated_product(
     return (OUTCOME_ABORTED if stopped else OUTCOME_COMPLETED), stats
 
 
-def _remaining_edges_after(problem, ordering, position):
-    """remaining_after[i]: edges with both endpoints past position i."""
-    out = []
-    for i in range(problem.n):
-        out.append(
-            [e for e in problem.edges if position[e[0]] > i and position[e[1]] > i]
-        )
-    return out
+# Turns whose remaining graph has more vertices than this skip the prune:
+# the Hakimi test enumerates every vertex set of that graph.
+HAKIMI_MAX_VERTICES = 18
+# Elements per block of the term-by-set budget sums, which bounds the
+# memory the prune adds to a turn.
+_HAKIMI_BLOCK = 1 << 21
 
 
-def _prune_unreachable(layout, terms, remaining_edges):
+def _subset_sums(values):
+    """The sum of values[j] over the bits j of each mask, indexed by mask."""
+    sums = np.zeros(1, dtype=values.dtype)
+    for value in values:
+        sums = np.concatenate((sums, sums + value))
+    return sums
+
+
+def _turn_sets(problem, position, i):
+    """The Hakimi sets after the turn at position i, or None to skip it."""
+    remaining = [e for e in problem.edges if position[e[0]] > i and position[e[1]] > i]
+    vertices = {v for e in remaining for v in e}
+    if not remaining or len(vertices) > HAKIMI_MAX_VERTICES:
+        return None
+    # each multiplied edge has raised one of its endpoints' degrees by one
+    done = [0] * problem.n
+    for u, w in problem.edges:
+        if position[u] <= i or position[w] <= i:
+            done[u] += 1
+            done[w] += 1
+    floor = {v: max(problem.s[v] - 1 - done[v], 0) for v in vertices}
+    sets = HakimiSets(remaining, floor)
+    return sets if len(sets.masks) else None
+
+
+class HakimiSets:
+    """The vertex sets of one turn's remaining graph worth testing.
+
+    Hakimi (1965): a graph can be oriented with outdegree at most b(v) at
+    every vertex if and only if e(X) <= sum of b over X for every vertex
+    set X, where e(X) counts the edges inside X.  A set with a vertex that
+    has no neighbour inside it is implied by the set without that vertex
+    (b is never negative), so it is left out.  So is every set that the
+    budget floor, a lower bound on b known in advance, already satisfies.
+    """
+
+    def __init__(self, remaining_edges, floor):
+        self.vertices = sorted({v for e in remaining_edges for v in e})
+        index = {v: j for j, v in enumerate(self.vertices)}
+        adjacent = [0] * len(self.vertices)
+        for u, w in remaining_edges:
+            adjacent[index[u]] |= 1 << index[w]
+            adjacent[index[w]] |= 1 << index[u]
+        self.degrees = [nbrs.bit_count() for nbrs in adjacent]
+        # built one vertex at a time over all sets X of the vertices so
+        # far, indexed by mask: adding j to X adds |X & N(j)| edges, makes
+        # j lonely when that is 0, and ends the loneliness of j's neighbours
+        edges_in = np.zeros(1, dtype=np.int64)
+        lonely = np.zeros(1, dtype=np.int64)
+        for j, nbrs in enumerate(adjacent):
+            shared = np.arange(1 << j) & nbrs
+            edges_in = np.concatenate((edges_in, edges_in + np.bitwise_count(shared)))
+            lonely = np.concatenate(
+                (lonely, (lonely & ~nbrs) | np.where(shared == 0, 1 << j, 0))
+            )
+        floor = [min(floor[v], d) for v, d in zip(self.vertices, self.degrees)]
+        least = _subset_sums(np.array(floor, dtype=np.int64))
+        self.masks = np.flatnonzero((lonely == 0) & (edges_in > least))
+        self.edges_in = edges_in[self.masks].astype(np.float32)
+
+    def members(self, masks):
+        """0/1 matrix of shape (vertices, len(masks)): j is in set x."""
+        octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
+        k = len(self.vertices)
+        bits = np.unpackbits(octets, axis=1, count=k, bitorder="little")
+        return bits.T.astype(np.float32)
+
+
+def _prune_unreachable(layout, terms, sets):
     """Drop terms that no orientation of the remaining edges can complete.
 
     A term with degrees f can still reach a witness only if the remaining
     edges can be oriented so that every vertex v gains at most
-    s(v) - 1 - f(v) outgoing edges.  Checked by maximum matching.
+    b(v) = s(v) - 1 - f(v) outgoing edges.  Checked exactly by the Hakimi
+    inequalities of ``sets``; sets that every term satisfies (judged by
+    the smallest budget per vertex) are skipped.
     """
-    from .oracle import orientable_within_budget
-
     s = layout.problem.s
-    degrees, _, _ = unpack_terms(layout, terms)
-    keep = np.ones(len(terms), dtype=bool)
-    for t in range(len(terms)):
-        budget = {v: s[v] - 1 - int(degrees[t, v]) for v in range(layout.problem.n)}
-        if not orientable_within_budget(remaining_edges, budget):
-            keep[t] = False
+    mask = np.uint64(layout.field_mask)
+    # a budget past v's remaining degree is never used; capped, every sum
+    # stays below 2^24 and so is exact in float32
+    budgets = np.empty((len(terms), len(sets.vertices)), dtype=np.float32, order="F")
+    for j, v in enumerate(sets.vertices):
+        field = (terms.keys[:, layout.v_word[v]] >> np.uint64(layout.v_shift[v])) & mask
+        budgets[:, j] = np.minimum(s[v] - 1 - field.astype(np.int64), sets.degrees[j])
+    tight = sets.edges_in > _subset_sums(budgets.min(axis=0))[sets.masks]
+    if not tight.any():
+        return terms
+    members = sets.members(sets.masks[tight])
+    edges_in = sets.edges_in[tight]
+    keep = np.empty(len(terms), dtype=bool)
+    rows = max(1, _HAKIMI_BLOCK // len(edges_in))
+    for a in range(0, len(terms), rows):
+        keep[a : a + rows] = (budgets[a : a + rows] @ members >= edges_in).all(axis=1)
     if keep.all():
         return terms
+    keep = np.flatnonzero(keep)
     return TermList(terms.keys[keep], terms.coeffs[keep])

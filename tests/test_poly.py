@@ -14,7 +14,9 @@ from choosability import (
     VertexOrdering,
     direct_coefficient,
     order_vertices,
+    poly,
 )
+from choosability.oracle import orientable_within_budget
 from choosability.poly import (
     DegreeLayout,
     TermList,
@@ -297,10 +299,66 @@ def test_matching_prune_keeps_results():
         for i in range(4)
     ]
     for p in problems:
-        plain, _, _ = collect(p)
+        plain, _, plain_stats = collect(p)
         pruned, _, pruned_stats = collect(p, prune_matching=True)
         assert sorted(plain.terms) == sorted(pruned.terms)
-        assert pruned_stats.total_monomials >= 0
+        assert pruned_stats.total_monomials <= plain_stats.total_monomials
+
+
+@pytest.mark.parametrize("branch_limit", [50, None])
+def test_hakimi_prune_keeps_exactly_the_orientable_terms(monkeypatch, branch_limit):
+    turn_sets = poly._turn_sets
+    prune = poly._prune_unreachable
+    dropped = []
+
+    def every_turn(problem, position, i):
+        sets = turn_sets(problem, position, i)
+        edges = [e for e in problem.edges if position[e[0]] > i and position[e[1]] > i]
+        if sets is None and edges:
+            # a turn the floor skips must drop nothing: test it on all sets
+            sets = poly.HakimiSets(edges, dict.fromkeys(range(problem.n), 0))
+            sets.skipped = True
+        if sets is not None:
+            sets.edges = edges
+        return sets
+
+    def checked(layout, terms, sets):
+        kept = prune(layout, terms, sets)
+        kept_keys = {tuple(int(x) for x in key) for key in kept.keys}
+        degrees, _, _ = unpack_terms(layout, terms)
+        s = layout.problem.s
+        for key, f in zip(terms.keys, degrees):
+            budget = {v: s[v] - 1 - int(f[v]) for v in range(layout.problem.n)}
+            expected = orientable_within_budget(sets.edges, budget)
+            assert (tuple(int(x) for x in key) in kept_keys) == expected
+        if getattr(sets, "skipped", False):
+            assert len(kept) == len(terms)
+        dropped.append(len(terms) - len(kept))
+        return kept
+
+    monkeypatch.setattr(poly, "_turn_sets", every_turn)
+    monkeypatch.setattr(poly, "_prune_unreachable", checked)
+    rng = random.Random(53)
+    for i in range(40):
+        p = random_problem(rng, n_range=(4, 10), m_cap=20, name="hk%d" % i)
+        collect(p, branch_limit=branch_limit, heuristic="MD+PROC", prune_matching=True)
+    assert len(dropped) > 100 and sum(dropped) > 0
+
+
+def test_prune_skips_turns_above_the_vertex_bound(monkeypatch):
+    p = cycle(poly.HAKIMI_MAX_VERTICES + 2)
+    prune = poly._prune_unreachable
+    sizes = []
+
+    def spy(layout, terms, sets):
+        sizes.append(len(sets.vertices))
+        return prune(layout, terms, sets)
+
+    plain, _, _ = collect(p)
+    monkeypatch.setattr(poly, "_prune_unreachable", spy)
+    pruned, _, _ = collect(p, prune_matching=True)
+    assert sorted(pruned.terms) == sorted(plain.terms)
+    assert sizes and max(sizes) == poly.HAKIMI_MAX_VERTICES
 
 
 def test_overflow_raises():
