@@ -28,7 +28,6 @@ from .poly import (
     multiply_edge_extended,
     multiply_edge_standard,
     run_truncated_product,
-    split_final_terms,
     unpack_terms,
 )
 from .oracle import (
@@ -104,7 +103,6 @@ __all__ = [
     "pipeline_decide",
     "run_truncated_product",
     "set_backend",
-    "split_final_terms",
     "standard_alon_tarsi",
     "unpack_terms",
     "__version__",

@@ -218,6 +218,7 @@ def _print_report(report: dict, as_json: bool) -> None:
     details = report["details"]
     for key in (
         "constraint_rank",
+        "constraint_rows_offered",
         "feasible_vectors",
         "pattern_count",
         "deletable_edges",

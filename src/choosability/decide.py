@@ -19,8 +19,8 @@ from .graphs import Problem, VertexOrdering, order_vertices, DEFAULT_HEURISTIC
 from .poly import (
     CoefficientOverflow,
     RunStats,
+    TermList,
     run_truncated_product,
-    split_final_terms,
     unpack_terms,
 )
 
@@ -60,12 +60,13 @@ class ConstraintBasis:
 
     Rows are kept as exact integer vectors; only the independence test
     runs over the prime field, so a dependent-looking row is dropped but
-    every retained row is exact.
+    every retained row is exact.  ``offered`` counts the rows tested.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[ConstraintRow] = []
+        self.offered = 0
         self._echelon: list[tuple[int, list[int]]] = []
 
     @property
@@ -74,6 +75,7 @@ class ConstraintBasis:
 
     def add(self, base, row) -> bool:
         """Retain the row if it is independent of the current rows."""
+        self.offered += 1
         vec = [int(x) % P_FIELD for x in row]
         for pivot, evec in self._echelon:
             c = vec[pivot]
@@ -88,11 +90,38 @@ class ConstraintBasis:
         self.rows.append(ConstraintRow(tuple(base), tuple(int(x) for x in row)))
         return True
 
+    def extend(self, bases, rows) -> bool:
+        """Offer the rows in order, as ``add`` would one at a time, up to
+        rank n; returns whether it got there.  All rows are reduced mod p
+        at once; each row still nonzero is retained by ``add`` and then
+        reduces the rows after it.  Residues stay below p < 2^31, so every
+        product is exact in int64."""
+        todo = np.asarray(rows, dtype=np.int64) % P_FIELD
+        for pivot, evec in self._echelon:
+            todo = _eliminate(todo, pivot, evec)
+        i = 0
+        while self.rank < self.n:
+            live = np.flatnonzero(todo[i:].any(axis=1))
+            if not len(live):
+                self.offered += len(todo) - i
+                return False
+            self.offered += int(live[0])
+            i += int(live[0])
+            self.add(tuple(int(x) for x in bases[i]), rows[i])
+            i += 1
+            todo[i:] = _eliminate(todo[i:], *self._echelon[-1])
+        return True
+
     def satisfied_by(self, chi) -> bool:
         """Exact integer check of every retained row."""
         return all(
             sum(r * c for r, c in zip(cr.row, chi)) == 0 for cr in self.rows
         )
+
+
+def _eliminate(vecs, pivot, evec):
+    """Clear column ``pivot`` of the residues ``vecs`` with a monic row."""
+    return (vecs - vecs[:, pivot, None] * np.asarray(evec)) % P_FIELD
 
 
 @dataclass(frozen=True)
@@ -115,36 +144,37 @@ class _FirstTermSink:
         self.witness = None
 
     def __call__(self, layout, terms):
-        degrees, _, coeffs = unpack_terms(layout, terms)
-        self.witness = (tuple(int(x) for x in degrees[-1]), int(coeffs[-1]))
+        last = TermList(terms.keys[-1:], terms.coeffs[-1:])
+        degrees, _, coeffs = unpack_terms(layout, last)
+        self.witness = (tuple(int(x) for x in degrees[0]), int(coeffs[0]))
         return True
 
 
 class _ConstraintSink:
     """Accumulates constraint rows; stops on a full-degree witness or
-    once the rows already pin every characteristic vector to zero."""
+    once the rows already pin every characteristic vector to zero.
+
+    Each tight group (marked terms sharing one degree base) gives a row;
+    the marker is the lowest field, so a group's terms are consecutive.
+    """
 
     def __init__(self, n: int):
         self.basis = ConstraintBasis(n)
         self.witness = None
 
     def __call__(self, layout, terms):
-        plain, groups = split_final_terms(layout, terms)
+        degrees, markers, coeffs = unpack_terms(layout, terms)
+        plain = np.flatnonzero(markers < 0)
         if len(plain):
             # last = largest key; invariant across branch limits
-            degrees, _, coeffs = unpack_terms(layout, plain)
-            self.witness = (tuple(int(x) for x in degrees[-1]), int(coeffs[-1]))
+            last = plain[-1]
+            self.witness = (tuple(int(x) for x in degrees[last]), int(coeffs[last]))
             return True
-        n = layout.problem.n
-        for group in groups:
-            degrees, markers, coeffs = unpack_terms(layout, group)
-            row = [0] * n
-            for k in range(len(coeffs)):
-                row[int(markers[k])] = int(coeffs[k])
-            self.basis.add(tuple(int(x) for x in degrees[0]), row)
-            if self.basis.rank == n:
-                return True
-        return False
+        starts = np.ones(len(coeffs), dtype=bool)
+        starts[1:] = np.any(degrees[1:] != degrees[:-1], axis=1)
+        rows = np.zeros((np.count_nonzero(starts), layout.problem.n), dtype=np.int64)
+        rows[np.cumsum(starts) - 1, markers] = coeffs
+        return self.basis.extend(degrees[starts], rows)
 
 
 def standard_alon_tarsi(
@@ -350,6 +380,7 @@ def pipeline_decide(
         )
 
     details["constraint_rank"] = basis.rank
+    details["constraint_rows_offered"] = basis.offered
     if basis.rank == 0:
         return Verdict(UNKNOWN, reason="NoConstraints", details=details)
 

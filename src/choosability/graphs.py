@@ -94,10 +94,6 @@ class VertexOrdering:
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("ordering is not a permutation")
 
-    @property
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
-
 
 def parse_problem(text: str, name: str = "") -> Problem:
     """Parse the text problem format.

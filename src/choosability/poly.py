@@ -78,10 +78,6 @@ class DegreeLayout:
             acc[self.pos_word[i]] |= self.field_mask << self.pos_shift[i]
             self.prefix_masks[i] = [np.uint64(x) for x in acc]
 
-        # all degree fields, marker cleared: the tight-group key
-        base = acc[:]
-        self.fbase_mask = np.array([np.uint64(x) for x in base], dtype=np.uint64)
-
     def pack(self, f) -> np.ndarray:
         """Pack a degree vector given in original vertex indexing."""
         words = [0] * self.words
@@ -96,10 +92,6 @@ class DegreeLayout:
             int((int(key[self.v_word[v]]) >> self.v_shift[v]) & self.field_mask)
             for v in range(self.problem.n)
         )
-
-    def marker_of(self, key):
-        code = (int(key[self.marker_word]) >> self.marker_shift) & self.marker_mask
-        return None if code == 0 else self.ordering.order[code - 1]
 
 
 @dataclass
@@ -216,27 +208,6 @@ def multiply_edge_extended(terms: TermList, u: int, v: int, layout: DegreeLayout
     if over1 or over2 or over3:
         raise CoefficientOverflow("edge {%d,%d}" % (u, v))
     return TermList(keys, coeffs)
-
-
-def split_final_terms(layout: DegreeLayout, terms: TermList):
-    """Split a final term list into unmarked terms and tight groups.
-
-    Returns (unmarked TermList, groups), where each group is a TermList of
-    consecutive marked terms sharing the same degree vector f'.
-    """
-    marker_field = np.uint64(layout.marker_mask << layout.marker_shift)
-    marked = (terms.keys[:, layout.marker_word] & marker_field) != 0
-    plain = TermList(terms.keys[~marked], terms.coeffs[~marked])
-    mk = terms.keys[marked]
-    mc = terms.coeffs[marked]
-    groups = []
-    if len(mc):
-        base = mk & layout.fbase_mask
-        change = np.any(base[1:] != base[:-1], axis=1)
-        bounds = [0, *(np.flatnonzero(change) + 1), len(mc)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            groups.append(TermList(mk[a:b], mc[a:b]))
-    return plain, groups
 
 
 @dataclass

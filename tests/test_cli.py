@@ -99,6 +99,7 @@ def test_decide_text_report_details(tmp_path, capsys):
     path = write_problem(tmp_path, fan())
     _, out, _ = run_cli(capsys, ["decide", path])
     assert "constraint rank: 3" in out
+    assert "constraint rows offered: 5" in out
     assert "deletable edges: [[2, 3]]" in out
     assert "config: mode=pipeline heuristic=MD+PROC branch-limit=100000" in out
 

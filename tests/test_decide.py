@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choosability import (
     CHOOSABLE,
@@ -21,6 +24,8 @@ from choosability import (
     standard_alon_tarsi,
 )
 from choosability import decide as decide_module
+from choosability.graphs import HEURISTICS, order_vertices
+from choosability.poly import iter_terms, run_truncated_product
 
 from _examples import complete, cycle, fan, wheel, wheel_extension
 
@@ -49,6 +54,120 @@ def test_basis_satisfaction_is_exact():
     assert basis.satisfied_by((1, 1))
     assert basis.satisfied_by((0, 0))
     assert not basis.satisfied_by((1, 0))
+
+
+def added_one_at_a_time(n, rows, start=()):
+    """The basis ``add`` builds from start + rows, stopping at rank n,
+    and whether it stopped."""
+    basis = ConstraintBasis(n)
+    for row in start:
+        basis.add((0,) * n, row)
+    for i, row in enumerate(rows):
+        basis.add((i,) * n, row)
+        if basis.rank == n:
+            return basis, True
+    return basis, False
+
+
+def assert_same_basis(a, b):
+    assert a.rows == b.rows
+    assert a._echelon == b._echelon
+    assert a.offered == b.offered
+
+
+@pytest.mark.parametrize(
+    "n, start, rows, kept",
+    [
+        # later rows depend on earlier rows of the same batch
+        (4, [], [(1, -1, 0, 0), (2, -2, 0, 0), (0, 1, -1, 0), (1, 0, -1, 0),
+                 (0, 0, 0, 0), (0, 0, 3, -3), (5, 0, 0, -5)], [0, 2, 5]),
+        # rank n is reached partway: the last row is never offered
+        (2, [], [(1, 0), (3, 0), (0, 5), (1, 1)], [0, 2]),
+        # reduced against rows already held, with residues of big and
+        # negative coefficients; (2^31, 0) is (1, 0) mod p
+        (3, [(1, 1, 0)], [(-(2**40) - 7, 2**40 + 7, 0), (2**31, 0, 0),
+                          (2**31 - 1, 0, -(2**33)), (-3, 1, 2**62)], [0, 2]),
+        (2, [], np.zeros((0, 2), dtype=np.int64), []),
+    ],
+)
+def test_basis_extend_matches_adding_rows_in_turn(monkeypatch, n, start, rows, kept):
+    reference, full = added_one_at_a_time(n, rows, start)
+    basis, _ = added_one_at_a_time(n, [], start)
+    bases = [(i,) * n for i in range(len(rows))]
+    added = []
+    add = ConstraintBasis.add
+
+    def recorded_add(self, base, row):
+        added.append(add(self, base, row))
+        return added[-1]
+
+    monkeypatch.setattr(ConstraintBasis, "add", recorded_add)
+    assert basis.extend(bases, rows) is full
+    # the batched reduction hands add only the rows it keeps
+    assert added == [True] * len(kept)
+    assert_same_basis(basis, reference)
+    assert [cr.row for cr in basis.rows[len(start):]] == [rows[i] for i in kept]
+    assert [cr.base for cr in basis.rows[len(start):]] == [bases[i] for i in kept]
+
+
+class ReferenceSink:
+    """The constraint sink written one group at a time: each tight group
+    becomes a row offered to ``add`` in delivery order."""
+
+    def __init__(self, n):
+        self.basis = ConstraintBasis(n)
+        self.witness = None
+
+    def __call__(self, layout, terms):
+        found = list(iter_terms(layout, terms))
+        plain = [(f, c) for f, marker, c in found if marker is None]
+        if plain:
+            self.witness = plain[-1]
+            return True
+        n = layout.problem.n
+        groups = {}
+        for f, marker, c in found:
+            groups.setdefault(f, [0] * n)[marker] = c
+        for f, row in groups.items():
+            self.basis.add(f, row)
+            if self.basis.rank == n:
+                return True
+        return False
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
+    s = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return Problem(n=n, s=tuple(s), edges=tuple(sorted(edges)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=small_problems(),
+    heuristic=st.sampled_from(HEURISTICS),
+    branch_limit=st.sampled_from([None, 8, 50]),
+)
+def test_batched_sink_matches_adding_each_group_in_turn(p, heuristic, branch_limit):
+    ordering = order_vertices(p, heuristic)
+    runs = []
+    for sink in (decide_module._ConstraintSink(p.n), ReferenceSink(p.n)):
+        calls = []
+
+        def counted(layout, terms, sink=sink):
+            calls.append(len(terms))
+            return sink(layout, terms)
+
+        outcome, stats = run_truncated_product(
+            p, ordering, mode="extended", branch_limit=branch_limit, sink=counted
+        )
+        runs.append((sink, outcome, stats, calls))
+    (batched, *rest), (reference, *expected) = runs
+    assert rest == expected
+    assert batched.witness == reference.witness
+    assert_same_basis(batched.basis, reference.basis)
 
 
 def test_standard_witness_on_even_cycle():

@@ -24,9 +24,9 @@ from choosability.poly import (
     multiply_edge_extended,
     multiply_edge_standard,
     run_truncated_product,
-    split_final_terms,
     unpack_terms,
 )
+from choosability.decide import ConstraintBasis, _ConstraintSink
 
 from _examples import cycle, complete, fan, random_problem
 
@@ -174,24 +174,40 @@ def test_c5_extended_group_coefficients():
 
 
 def test_extended_groups_share_base_and_markers_are_tight():
-    p = cycle(5)
-    layout = DegreeLayout(p, order_vertices(p, "INPUT"))
-    holder = {}
+    """The rows the constraint sink forms are the delivered tight groups:
+    one row per degree base, holding every term of that base, with each
+    marker at a tight coordinate."""
 
-    def sink(lay, terms):
-        holder.setdefault("splits", []).append(split_final_terms(lay, terms))
-        return False
+    class Recorder(ConstraintBasis):
+        def extend(self, bases, rows):
+            batches.append((bases, rows))
+            return False
 
-    run_truncated_product(p, layout.ordering, mode="extended", sink=sink)
-    for plain, groups in holder["splits"]:
-        assert len(plain) == 0
-        for group in groups:
-            degrees, markers, _ = unpack_terms(layout, group)
-            bases = {tuple(int(x) for x in row) for row in degrees}
-            assert len(bases) == 1
-            base = bases.pop()
-            for marker in markers:
-                assert base[int(marker)] == p.s[int(marker)] - 1
+    for p, limit in ((cycle(5), None), (fan(), 4), (complete(4, 3), 8)):
+        ordering = order_vertices(p, "INPUT")
+        sink = _ConstraintSink(p.n)
+        sink.basis = Recorder(p.n)
+        delivered, batches = [], []
+
+        def record(lay, terms):
+            delivered.append(list(iter_terms(lay, terms)))
+            return sink(lay, terms)
+
+        run_truncated_product(p, ordering, "extended", limit, record)
+        assert len(delivered) == len(batches) > 0
+        for terms, (bases, rows) in zip(delivered, batches):
+            assert all(marker is not None for _, marker, _ in terms)
+            assert len(bases) == len({f for f, _, _ in terms})
+            grouped = [
+                (tuple(int(x) for x in base), v, int(row[v]))
+                for base, row in zip(bases, rows)
+                for v in range(p.n)
+                if row[v]
+            ]
+            # under INPUT a group's markers sort by vertex index, as rows do
+            assert grouped == terms
+            for base, marker, _ in grouped:
+                assert base[marker] == p.s[marker] - 1
 
 
 # ------------------------------------------------------------- the driver
