@@ -19,7 +19,7 @@ from .graphs import (
     order_vertices,
     parse_problem,
 )
-from .kernels import available_backends, current_backend, set_backend
+from .kernels import current_backend
 from .poly import (
     CoefficientOverflow,
     DegreeLayout,
@@ -80,7 +80,6 @@ __all__ = [
     "TermList",
     "Verdict",
     "VertexOrdering",
-    "available_backends",
     "brute_force_choosable",
     "coefficient_table",
     "collect_constraints",
@@ -102,7 +101,6 @@ __all__ = [
     "parse_problem",
     "pipeline_decide",
     "run_truncated_product",
-    "set_backend",
     "standard_alon_tarsi",
     "unpack_terms",
     "__version__",

@@ -28,8 +28,12 @@ from .graphs import (
     order_vertices,
     parse_problem,
 )
-from .kernels import current_backend
-from .poly import CoefficientOverflow, run_truncated_product, unpack_terms
+from .poly import (
+    DEFAULT_BRANCH_LIMIT,
+    CoefficientOverflow,
+    run_truncated_product,
+    unpack_terms,
+)
 
 EXIT_CODES = {
     decide_mod.CHOOSABLE: 0,
@@ -38,8 +42,6 @@ EXIT_CODES = {
 }
 EXIT_ERROR = 3
 
-DECIDE_MODES = ("standard", "extended", "pipeline")
-
 
 @dataclasses.dataclass(frozen=True)
 class Config:
@@ -47,9 +49,9 @@ class Config:
 
     mode: str = "pipeline"
     heuristic: str = DEFAULT_HEURISTIC
-    branch_limit: int | None = 100000
-    pattern_cap: int = 100
-    feasible_cap: int = 25
+    branch_limit: int | None = DEFAULT_BRANCH_LIMIT
+    pattern_cap: int = decide_mod.DEFAULT_PATTERN_CAP
+    feasible_cap: int = decide_mod.DEFAULT_FEASIBLE_CAP
     prune_matching: bool = False
     output: str = "text"
 
@@ -62,11 +64,6 @@ class Config:
             raise ValueError("caps must be positive")
         if self.output not in ("text", "json"):
             raise ValueError("unknown output format %r" % (self.output,))
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["backend"] = current_backend()
-        return d
 
 
 def read_problem(path: str) -> Problem:
@@ -87,7 +84,7 @@ def _add_run_flags(sp, modes=None, default_mode=None):
     sp.add_argument(
         "--branch-limit",
         type=int,
-        default=100000,
+        default=DEFAULT_BRANCH_LIMIT,
         metavar="N",
         help="segment size before partitioning; 0 disables partitioning",
     )
@@ -114,9 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decide", help="run the decision pipeline")
     sp.add_argument("problem", help="problem file, or - for stdin")
-    _add_run_flags(sp, modes=DECIDE_MODES, default_mode="pipeline")
-    sp.add_argument("--pattern-cap", type=int, default=100, metavar="C")
-    sp.add_argument("--feasible-cap", type=int, default=25, metavar="C")
+    _add_run_flags(sp, modes=decide_mod.MODES, default_mode="pipeline")
+    sp.add_argument(
+        "--pattern-cap", type=int, default=decide_mod.DEFAULT_PATTERN_CAP, metavar="C"
+    )
+    sp.add_argument(
+        "--feasible-cap", type=int, default=decide_mod.DEFAULT_FEASIBLE_CAP, metavar="C"
+    )
     sp.add_argument(
         "--prune-matching",
         action="store_true",
@@ -164,8 +165,8 @@ def _config_from_args(args, mode: str) -> Config:
         mode=mode,
         heuristic=args.heuristic,
         branch_limit=None if args.branch_limit == 0 else args.branch_limit,
-        pattern_cap=getattr(args, "pattern_cap", 100),
-        feasible_cap=getattr(args, "feasible_cap", 25),
+        pattern_cap=getattr(args, "pattern_cap", decide_mod.DEFAULT_PATTERN_CAP),
+        feasible_cap=getattr(args, "feasible_cap", decide_mod.DEFAULT_FEASIBLE_CAP),
         prune_matching=getattr(args, "prune_matching", False),
         output="json" if args.json else "text",
     )
@@ -174,7 +175,7 @@ def _config_from_args(args, mode: str) -> Config:
 def _report(p: Problem, cfg: Config, verdict: decide_mod.Verdict) -> dict:
     return {
         "problem": {"name": p.name, "n": p.n, "m": p.m},
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "verdict": verdict.status,
         "certificate": verdict.certificate,
         "reason": verdict.reason,
@@ -191,8 +192,8 @@ def _print_report(report: dict, as_json: bool) -> None:
     print("problem: %s (n=%d, m=%d)" % (label, prob["n"], prob["m"]))
     cfg = report["config"]
     print(
-        "config: mode=%s heuristic=%s branch-limit=%s backend=%s"
-        % (cfg["mode"], cfg["heuristic"], cfg["branch_limit"], cfg["backend"])
+        "config: mode=%s heuristic=%s branch-limit=%s"
+        % (cfg["mode"], cfg["heuristic"], cfg["branch_limit"])
     )
     print("verdict: %s" % report["verdict"])
     cert = report["certificate"]
@@ -242,43 +243,15 @@ def _print_report(report: dict, as_json: bool) -> None:
 def _cmd_decide(args) -> int:
     cfg = _config_from_args(args, args.mode)
     p = read_problem(args.problem)
-    if cfg.mode == "standard":
-        ordering = order_vertices(p, cfg.heuristic)
-        try:
-            witness, stats = decide_mod.standard_alon_tarsi(
-                p, ordering, cfg.branch_limit, cfg.prune_matching
-            )
-        except CoefficientOverflow as exc:
-            verdict = decide_mod.Verdict(
-                decide_mod.UNKNOWN, reason="Overflow", details={"overflow": str(exc)}
-            )
-        else:
-            details = {"standard_stats": decide_mod._stats_json(stats)}
-            if witness is None:
-                verdict = decide_mod.Verdict(
-                    decide_mod.UNKNOWN, reason="NoWitness", details=details
-                )
-            else:
-                f, coeff = witness
-                verdict = decide_mod.Verdict(
-                    decide_mod.CHOOSABLE,
-                    {
-                        "kind": "WitnessMonomial",
-                        "f": list(f),
-                        "coefficient": coeff,
-                    },
-                    details=details,
-                )
-    else:
-        verdict = decide_mod.pipeline_decide(
-            p,
-            heuristic=cfg.heuristic,
-            branch_limit=cfg.branch_limit,
-            pattern_cap=cfg.pattern_cap,
-            feasible_cap=cfg.feasible_cap,
-            prune_matching=cfg.prune_matching,
-            run_standard=(cfg.mode == "pipeline"),
-        )
+    verdict = decide_mod.pipeline_decide(
+        p,
+        heuristic=cfg.heuristic,
+        branch_limit=cfg.branch_limit,
+        pattern_cap=cfg.pattern_cap,
+        feasible_cap=cfg.feasible_cap,
+        prune_matching=cfg.prune_matching,
+        mode=cfg.mode,
+    )
     _print_report(_report(p, cfg, verdict), cfg.output == "json")
     return EXIT_CODES[verdict.status]
 
@@ -322,7 +295,7 @@ def _cmd_coefficients(args) -> int:
             json.dumps(
                 {
                     "problem": {"name": p.name, "n": p.n, "m": p.m},
-                    "config": cfg.as_dict(),
+                    "config": dataclasses.asdict(cfg),
                     "terms": [
                         {
                             "f": list(f),

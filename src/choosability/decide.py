@@ -17,6 +17,7 @@ import numpy as np
 from . import oracle
 from .graphs import Problem, VertexOrdering, order_vertices, DEFAULT_HEURISTIC
 from .poly import (
+    DEFAULT_BRANCH_LIMIT,
     CoefficientOverflow,
     RunStats,
     TermList,
@@ -29,6 +30,12 @@ P_FIELD = (1 << 31) - 1
 CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
 UNKNOWN = "UNKNOWN"
+
+# "standard" runs the first stage of pipeline_decide alone, "extended"
+# skips it, "pipeline" runs every stage.
+MODES = ("standard", "extended", "pipeline")
+DEFAULT_PATTERN_CAP = 100
+DEFAULT_FEASIBLE_CAP = 25
 
 
 class FeasibleSearchTooLarge(Exception):
@@ -180,7 +187,7 @@ class _ConstraintSink:
 def standard_alon_tarsi(
     p: Problem,
     ordering: VertexOrdering | None = None,
-    branch_limit: int | None = 100000,
+    branch_limit: int | None = DEFAULT_BRANCH_LIMIT,
     prune_matching: bool = False,
 ):
     """Largest surviving full-degree monomial, as (f, coefficient), or None."""
@@ -201,7 +208,7 @@ def standard_alon_tarsi(
 def collect_constraints(
     p: Problem,
     ordering: VertexOrdering | None = None,
-    branch_limit: int | None = 100000,
+    branch_limit: int | None = DEFAULT_BRANCH_LIMIT,
 ):
     """Run the tight-marker product and gather independent constraint rows.
 
@@ -217,7 +224,9 @@ def collect_constraints(
     return sink.basis, sink.witness, stats
 
 
-def enumerate_feasible_vectors(basis: ConstraintBasis, n: int, cap: int = 25):
+def enumerate_feasible_vectors(
+    basis: ConstraintBasis, n: int, cap: int = DEFAULT_FEASIBLE_CAP
+):
     """All chi in {0,1}^n satisfying every retained row exactly.
 
     Exhaustive over the 2^n candidates (chunked); raises
@@ -262,7 +271,7 @@ def find_deletable_edges(vectors, p: Problem):
     return out
 
 
-def enumerate_assignment_patterns(vectors, s, cap: int = 100):
+def enumerate_assignment_patterns(vectors, s, cap: int = DEFAULT_PATTERN_CAP):
     """Multisets of nonzero vectors with componentwise sum equal to s.
 
     Vectors are scanned densest first with multiplicities counted down, so
@@ -324,11 +333,11 @@ def _stats_json(stats: RunStats):
 def pipeline_decide(
     p: Problem,
     heuristic: str = DEFAULT_HEURISTIC,
-    branch_limit: int | None = 100000,
-    pattern_cap: int = 100,
-    feasible_cap: int = 25,
+    branch_limit: int | None = DEFAULT_BRANCH_LIMIT,
+    pattern_cap: int = DEFAULT_PATTERN_CAP,
+    feasible_cap: int = DEFAULT_FEASIBLE_CAP,
     prune_matching: bool = False,
-    run_standard: bool = True,
+    mode: str = "pipeline",
 ) -> Verdict:
     """Full decision pipeline.
 
@@ -339,34 +348,32 @@ def pipeline_decide(
     those edges are removed and the pipeline restarts on the reduced
     problem (at most once per edge).  Any stage that cannot finish
     downgrades the verdict to UNKNOWN with the partial findings kept.
-    run_standard=False skips the first stage.
+    mode "standard" runs only the first stage, "extended" skips it, and
+    "pipeline" runs them all.
     """
-    details: dict = {"deleted_edges": []}
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s" % ", ".join(MODES))
+    details: dict = {}
     knobs = dict(
         heuristic=heuristic,
         branch_limit=branch_limit,
         pattern_cap=pattern_cap,
         feasible_cap=feasible_cap,
         prune_matching=prune_matching,
-        run_standard=run_standard,
+        mode=mode,
     )
     ordering = order_vertices(p, heuristic)
 
+    witness = None
     try:
-        if run_standard:
+        if mode != "extended":
             witness, stats = standard_alon_tarsi(
                 p, ordering, branch_limit, prune_matching
             )
             details["standard_stats"] = _stats_json(stats)
-            if witness is not None:
-                f, coeff = witness
-                return Verdict(
-                    CHOOSABLE,
-                    {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff},
-                    details=details,
-                )
-        basis, witness, stats = collect_constraints(p, ordering, branch_limit)
-        details["extended_stats"] = _stats_json(stats)
+        if witness is None and mode != "standard":
+            basis, witness, stats = collect_constraints(p, ordering, branch_limit)
+            details["extended_stats"] = _stats_json(stats)
     except CoefficientOverflow as exc:
         details["overflow"] = str(exc)
         return Verdict(UNKNOWN, reason="Overflow", details=details)
@@ -378,6 +385,8 @@ def pipeline_decide(
             {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff},
             details=details,
         )
+    if mode == "standard":
+        return Verdict(UNKNOWN, reason="NoWitness", details=details)
 
     details["constraint_rank"] = basis.rank
     details["constraint_rows_offered"] = basis.offered
@@ -403,57 +412,57 @@ def pipeline_decide(
     try:
         patterns = enumerate_assignment_patterns(nonzero, p.s, pattern_cap)
     except PatternCapExceeded:
-        # fall back to deleting never-shared edges and deciding the
-        # reduced problem; sound in both directions (a bad assignment
-        # for the subgraph stays bad, and colorability transfers back)
         if not deletable:
             return Verdict(UNKNOWN, reason="TooManyPatterns", details=details)
-        reduced = p.without_edges(deletable)
-        inner = pipeline_decide(reduced, **knobs)
-        details["deleted_edges"] = [list(e) for e in deletable]
-        details["inner"] = {
-            "status": inner.status,
-            "certificate": inner.certificate,
-            "reason": inner.reason,
-        }
-        if inner.status == CHOOSABLE:
-            return Verdict(
-                CHOOSABLE,
-                {
-                    "kind": "EdgeDeletion",
-                    "edges": [list(e) for e in deletable],
-                    "inner": inner.certificate,
-                },
-                details=details,
-            )
-        if inner.status == NOT_CHOOSABLE:
-            pattern = tuple(
-                (tuple(entry["vector"]), entry["multiplicity"])
-                for entry in inner.certificate["pattern"]
-            )
-            if oracle.color_from_pattern(p, pattern) is None:
-                return Verdict(
-                    NOT_CHOOSABLE,
-                    {"kind": "BadAssignment", "pattern": _pattern_json(pattern)},
-                    details=details,
-                )
-        return Verdict(
-            UNKNOWN,
-            reason=inner.reason or "UnverifiedTransfer",
-            details=details,
-        )
+        return _decide_without_edges(p, deletable, details, knobs)
     details["pattern_count"] = len(patterns)
     if not patterns:
         return Verdict(CHOOSABLE, {"kind": "NoComposition"}, details=details)
     for pattern in patterns:
         if oracle.color_from_pattern(p, pattern) is None:
-            return Verdict(
-                NOT_CHOOSABLE,
-                {"kind": "BadAssignment", "pattern": _pattern_json(pattern)},
-                details=details,
-            )
+            return _bad_assignment(pattern, details)
     return Verdict(
         CHOOSABLE,
         {"kind": "AllPatternsColorable", "count": len(patterns)},
         details=details,
+    )
+
+
+def _bad_assignment(pattern, details) -> Verdict:
+    return Verdict(
+        NOT_CHOOSABLE,
+        {"kind": "BadAssignment", "pattern": _pattern_json(pattern)},
+        details=details,
+    )
+
+
+def _decide_without_edges(p: Problem, deletable, details, knobs) -> Verdict:
+    """Decide p with its never-shared edges deleted.
+
+    Sound in both directions: a bad assignment for the subgraph stays bad
+    for p (it is still checked on p), and colorability transfers back.
+    """
+    edges = [list(e) for e in deletable]
+    inner = pipeline_decide(p.without_edges(deletable), **knobs)
+    details["deleted_edges"] = edges
+    details["inner"] = {
+        "status": inner.status,
+        "certificate": inner.certificate,
+        "reason": inner.reason,
+    }
+    if inner.status == CHOOSABLE:
+        return Verdict(
+            CHOOSABLE,
+            {"kind": "EdgeDeletion", "edges": edges, "inner": inner.certificate},
+            details=details,
+        )
+    if inner.status == NOT_CHOOSABLE:
+        pattern = tuple(
+            (tuple(entry["vector"]), entry["multiplicity"])
+            for entry in inner.certificate["pattern"]
+        )
+        if oracle.color_from_pattern(p, pattern) is None:
+            return _bad_assignment(pattern, details)
+    return Verdict(
+        UNKNOWN, reason=inner.reason or "UnverifiedTransfer", details=details
     )

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .graphs import Problem, VertexOrdering
+from .kernels import emit_bump, emit_mark, merge2
 
 
 class CoefficientOverflow(ArithmeticError):
@@ -182,11 +182,10 @@ def _mark_args(layout, v, negate):
 
 def multiply_edge_standard(terms: TermList, u: int, v: int, layout: DegreeLayout) -> TermList:
     """Truncated product with (x_head - x_tail) for the edge {u, v}."""
-    impl = kernels.get_impl()
     tail, head = (u, v) if u < v else (v, u)
-    hk, hc = impl.emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, head, False))
-    tk, tc = impl.emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, tail, True))
-    keys, coeffs, overflow = impl.merge2(hk, hc, tk, tc)
+    hk, hc = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, head, False))
+    tk, tc = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, tail, True))
+    keys, coeffs, overflow = merge2(hk, hc, tk, tc)
     if overflow:
         raise CoefficientOverflow("edge {%d,%d}" % (u, v))
     return TermList(keys, coeffs)
@@ -196,15 +195,14 @@ def multiply_edge_extended(terms: TermList, u: int, v: int, layout: DegreeLayout
     """Like the standard product, but a degree reaching s(v) - 1 on an
     unmarked term becomes a tight marker instead of being dropped; terms
     that would acquire a second tight coordinate are dropped."""
-    impl = kernels.get_impl()
     tail, head = (u, v) if u < v else (v, u)
-    ak, ac = impl.emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, head, False))
-    bk, bc = impl.emit_mark(terms.keys, terms.coeffs, *_mark_args(layout, head, False))
-    ck, cc = impl.emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, tail, True))
-    dk, dc = impl.emit_mark(terms.keys, terms.coeffs, *_mark_args(layout, tail, True))
-    hk, hc, over1 = impl.merge2(ak, ac, bk, bc)
-    tk, tc, over2 = impl.merge2(ck, cc, dk, dc)
-    keys, coeffs, over3 = impl.merge2(hk, hc, tk, tc)
+    ak, ac = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, head, False))
+    bk, bc = emit_mark(terms.keys, terms.coeffs, *_mark_args(layout, head, False))
+    ck, cc = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, tail, True))
+    dk, dc = emit_mark(terms.keys, terms.coeffs, *_mark_args(layout, tail, True))
+    hk, hc, over1 = merge2(ak, ac, bk, bc)
+    tk, tc, over2 = merge2(ck, cc, dk, dc)
+    keys, coeffs, over3 = merge2(hk, hc, tk, tc)
     if over1 or over2 or over3:
         raise CoefficientOverflow("edge {%d,%d}" % (u, v))
     return TermList(keys, coeffs)
@@ -227,12 +225,15 @@ class RunStats:
 OUTCOME_COMPLETED = "completed"
 OUTCOME_ABORTED = "aborted"
 
+# Terms a segment may hold after a turn before the run splits it.
+DEFAULT_BRANCH_LIMIT = 100000
+
 
 def run_truncated_product(
     problem: Problem,
     ordering: VertexOrdering,
     mode: str = "standard",
-    branch_limit: int | None = 100000,
+    branch_limit: int | None = DEFAULT_BRANCH_LIMIT,
     sink=None,
     prune_matching: bool = False,
 ):

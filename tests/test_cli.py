@@ -9,9 +9,11 @@ import json
 
 import pytest
 
-from choosability import Problem, cli, pipeline_decide
+from choosability import Problem, cli, pipeline_decide, poly
+from choosability.decide import MODES
 from choosability.graphs import format_problem, generate_family
 from choosability.graphs import parse_problem
+from choosability.kernels import merge2
 from choosability.poly import CoefficientOverflow
 
 from _examples import complete, cycle, fan
@@ -79,20 +81,38 @@ def test_decide_no_constraints_is_unknown(tmp_path, capsys):
     assert "reason: NoConstraints" in out
 
 
-def test_decide_json_matches_library(tmp_path, capsys):
+@pytest.mark.parametrize("mode", MODES)
+def test_decide_json_matches_library(tmp_path, capsys, mode):
     p = fan()
     path = write_problem(tmp_path, p)
-    code, out, _ = run_cli(capsys, ["decide", path, "--json"])
-    assert code == 1
+    code, out, _ = run_cli(capsys, ["decide", path, "--mode", mode, "--json"])
     report = json.loads(out)
-    verdict = pipeline_decide(p)
+    verdict = pipeline_decide(p, mode=mode)
+    assert code == cli.EXIT_CODES[verdict.status]
     assert report["problem"] == {"name": "fan", "n": 5, "m": 7}
     assert report["verdict"] == verdict.status
     assert report["certificate"] == verdict.certificate
     assert report["reason"] == verdict.reason
     assert report["details"] == verdict.details
-    assert report["config"]["mode"] == "pipeline"
-    assert report["config"]["backend"] in ("numba", "numpy")
+    assert "deleted_edges" not in report["details"]
+    assert report["config"]["mode"] == mode
+    assert "backend" not in report["config"]
+
+
+def test_decide_standard_overflow_is_unknown(tmp_path, capsys, monkeypatch):
+    def overflowing_merge(*args):
+        keys, coeffs, _ = merge2(*args)
+        return keys, coeffs, True
+
+    monkeypatch.setattr(poly, "merge2", overflowing_merge)
+    path = write_problem(tmp_path, cycle(4))
+    code, out, _ = run_cli(capsys, ["decide", path, "--mode", "standard", "--json"])
+    report = json.loads(out)
+    assert code == 2
+    assert (report["verdict"], report["certificate"]) == ("UNKNOWN", None)
+    assert report["reason"] == "Overflow"
+    assert list(report["details"]) == ["overflow"]
+    assert report["details"]["overflow"].startswith("edge {")
 
 
 def test_decide_text_report_details(tmp_path, capsys):

@@ -27,7 +27,15 @@ from choosability import decide as decide_module
 from choosability.graphs import HEURISTICS, order_vertices
 from choosability.poly import iter_terms, run_truncated_product
 
-from _examples import complete, cycle, fan, wheel, wheel_extension
+from _examples import (
+    agreement_corpus,
+    coefficient_corpus,
+    complete,
+    cycle,
+    fan,
+    wheel,
+    wheel_extension,
+)
 
 
 def feasible_set(p):
@@ -314,6 +322,7 @@ def test_pipeline_fan_not_choosable():
         ],
     }
     assert verdict.details["deletable_edges"] == [[2, 3]]
+    assert "deleted_edges" not in verdict.details
 
 
 def test_pipeline_wheel_choosable_by_coloring_the_unique_pattern():
@@ -340,10 +349,30 @@ def test_pipeline_even_cycle_whispers_standard_witness():
 
 
 def test_pipeline_extended_only_still_finds_witness():
-    verdict = pipeline_decide(cycle(4), run_standard=False)
+    verdict = pipeline_decide(cycle(4), mode="extended")
     assert verdict.status == CHOOSABLE
     assert verdict.certificate["kind"] == "WitnessMonomial"
     assert verdict.certificate["f"] == [1, 1, 1, 1]
+    assert set(verdict.details) == {"extended_stats"}
+
+
+def test_pipeline_standard_mode_stops_after_the_standard_stage():
+    hit = pipeline_decide(cycle(4), mode="standard")
+    assert hit.status == CHOOSABLE
+    assert hit.certificate == {
+        "kind": "WitnessMonomial",
+        "f": [1, 1, 1, 1],
+        "coefficient": -2,
+    }
+    assert set(hit.details) == {"standard_stats"}
+    miss = pipeline_decide(cycle(5), mode="standard")
+    assert (miss.status, miss.certificate, miss.reason) == (UNKNOWN, None, "NoWitness")
+    assert set(miss.details) == {"standard_stats"}
+
+
+def test_pipeline_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        pipeline_decide(cycle(4), mode="fast")
 
 
 def test_pipeline_edgeless_graph():
@@ -396,6 +425,7 @@ def test_pipeline_overflow_is_reported(monkeypatch):
     verdict = pipeline_decide(cycle(4))
     assert verdict.status == UNKNOWN
     assert verdict.reason == "Overflow"
+    assert verdict.details == {"overflow": "forced"}
 
 
 def test_pipeline_reports_no_feasible_vectors(monkeypatch):
@@ -410,7 +440,7 @@ def test_pipeline_reports_no_feasible_vectors(monkeypatch):
 
     monkeypatch.setattr(decide_module, "collect_constraints", fake_collect)
     p = Problem(n=2, s=(1, 1), edges=((0, 1),))
-    verdict = pipeline_decide(p, run_standard=False)
+    verdict = pipeline_decide(p, mode="extended")
     assert verdict.status == CHOOSABLE
     assert verdict.certificate == {"kind": "NoFeasibleVectors", "rank": 2}
 
@@ -434,6 +464,7 @@ def test_pipeline_edge_deletion_restart_choosable(monkeypatch):
     assert verdict.status == CHOOSABLE
     assert verdict.certificate["kind"] == "EdgeDeletion"
     assert sorted(map(tuple, verdict.certificate["edges"])) == [(1, 5), (3, 4)]
+    assert verdict.details["deleted_edges"] == verdict.certificate["edges"]
     assert verdict.details["inner"]["status"] == CHOOSABLE
 
 
@@ -460,3 +491,11 @@ def test_pipeline_verdict_invariant_under_branch_limits():
                 reference.status,
                 reference.certificate,
             )
+
+
+def test_verdicts_do_not_depend_on_the_ordering_heuristic():
+    # certificates may differ between orderings (they do on most of these
+    # problems); the status may not
+    for p in coefficient_corpus() + agreement_corpus():
+        statuses = {pipeline_decide(p, heuristic=h).status for h in HEURISTICS}
+        assert len(statuses) == 1, (p, statuses)
