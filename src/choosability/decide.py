@@ -277,42 +277,59 @@ def enumerate_assignment_patterns(vectors, s, cap: int = DEFAULT_PATTERN_CAP):
     Vectors are scanned densest first with multiplicities counted down, so
     the output order is deterministic.  Raises PatternCapExceeded as soon
     as more than cap patterns exist.
+
+    Each vector is a bitmask over the vertices, ``pos`` is the mask of
+    vertices whose residual is still positive and ``suffix[i]`` the union
+    of the masks from i on.  A node walks the candidates from its start:
+    it stops once ``pos`` leaves ``suffix[i]`` (nothing left can cover
+    some vertex), passes over a mask that meets a finished vertex (0 is
+    its only multiplicity), and otherwise tries the multiplicities from
+    the largest down to 1.  Multiplicity 0 is the next loop step, so the
+    recursion is only as deep as the number of vectors chosen, at most
+    sum(s).
     """
-    n = len(s)
     cand = sorted(
         {tuple(v) for v in vectors if any(v)},
         key=lambda vec: (-sum(vec), tuple(-x for x in vec)),
     )
+    supports = [[v for v, x in enumerate(vec) if x] for vec in cand]
+    masks = [sum(1 << v for v in sup) for sup in supports]
+    suffix = masks + [0]
+    for i in range(len(cand) - 1, -1, -1):
+        suffix[i] |= suffix[i + 1]
     residual = list(s)
     chosen = []
     found = []
 
-    def coverable(start: int) -> bool:
-        for v in range(n):
-            if residual[v] and not any(cand[i][v] for i in range(start, len(cand))):
-                return False
-        return True
-
-    def search(start: int):
-        if all(r == 0 for r in residual):
-            found.append(tuple((vec, mult) for vec, mult in chosen if mult))
+    def search(start: int, pos: int):
+        if not pos:
+            found.append(tuple(chosen))
             if len(found) > cap:
                 raise PatternCapExceeded(cap)
             return
-        if start == len(cand) or not coverable(start):
-            return
-        vec = cand[start]
-        top = min(residual[v] for v in range(n) if vec[v])
-        for mult in range(top, -1, -1):
-            for v in range(n):
-                residual[v] -= mult * vec[v]
-            chosen.append((vec, mult))
-            search(start + 1)
+        for i in range(start, len(cand)):
+            if pos & ~suffix[i]:
+                return
+            if masks[i] & ~pos:
+                continue
+            sup = supports[i]
+            top = min(residual[v] for v in sup)
+            for v in sup:
+                residual[v] -= top
+            # only the largest multiplicity finishes a vertex
+            done = sum(1 << v for v in sup if residual[v] == 0)
+            chosen.append((cand[i], top))
+            search(i + 1, pos & ~done)
+            for mult in range(top - 1, 0, -1):
+                for v in sup:
+                    residual[v] += 1
+                chosen[-1] = (cand[i], mult)
+                search(i + 1, pos)
             chosen.pop()
-            for v in range(n):
-                residual[v] += mult * vec[v]
+            for v in sup:
+                residual[v] += 1
 
-    search(0)
+    search(0, sum(1 << v for v, r in enumerate(s) if r))
     return found
 
 
@@ -349,10 +366,13 @@ def pipeline_decide(
     problem (at most once per edge).  Any stage that cannot finish
     downgrades the verdict to UNKNOWN with the partial findings kept.
     mode "standard" runs only the first stage, "extended" skips it, and
-    "pipeline" runs them all.
+    "pipeline" runs them all.  The matching prune acts on the standard
+    stage only, so mode "extended" refuses it.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % ", ".join(MODES))
+    if mode == "extended" and prune_matching:
+        raise ValueError("the matching prune applies only to the standard stage")
     details: dict = {}
     knobs = dict(
         heuristic=heuristic,
@@ -449,6 +469,7 @@ def _decide_without_edges(p: Problem, deletable, details, knobs) -> Verdict:
         "status": inner.status,
         "certificate": inner.certificate,
         "reason": inner.reason,
+        "details": inner.details,
     }
     if inner.status == CHOOSABLE:
         return Verdict(

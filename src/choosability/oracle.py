@@ -279,7 +279,15 @@ def brute_force_choosable(
     0/1 vectors whose multiplicities sum componentwise to the list sizes.
     Returns (True, None) when every such assignment is colorable, else
     (False, witness) with the first non-colorable pattern found.  Vectors
-    are tried densest first.  Refuses inputs beyond the size limits.
+    are tried densest first, each with its multiplicities counted down.
+    Refuses inputs beyond the size limits, and raises OracleLimitError
+    once the search has made more than max_nodes calls.
+
+    Vectors are bitmasks and ``suffix[i]`` is the union of the masks from
+    i on, so a node stops as soon as a vertex with list left to fill
+    (a bit of ``pos``) is outside it, and passes over a mask that meets a
+    filled vertex.  Multiplicity 0 is the next loop step rather than a
+    call, so the recursion depth is at most the total list size.
     """
     if p.n > max_vertices:
         raise OracleLimitError("too many vertices for brute force")
@@ -290,44 +298,50 @@ def brute_force_choosable(
         vec = tuple((mask >> v) & 1 for v in range(p.n))
         vectors.append(vec)
     vectors.sort(key=lambda vec: (-sum(vec), tuple(-x for x in vec)))
+    supports = [[v for v, x in enumerate(vec) if x] for vec in vectors]
+    masks = [sum(1 << v for v in sup) for sup in supports]
+    suffix = masks + [0]
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] |= suffix[i + 1]
     residual = list(p.s)
     chosen = []
     budget = [max_nodes]
 
-    def coverable(start: int) -> bool:
-        for v in range(p.n):
-            if residual[v] == 0:
-                continue
-            if not any(vectors[i][v] for i in range(start, len(vectors))):
-                return False
-        return True
-
-    def search(start: int):
+    def search(start: int, pos: int):
         budget[0] -= 1
         if budget[0] < 0:
             raise OracleLimitError("node budget exhausted")
-        if all(r == 0 for r in residual):
-            pattern = [(vec, mult) for vec, mult in chosen if mult > 0]
-            if color_from_pattern(p, pattern) is None:
-                return pattern
+        if not pos:
+            if color_from_pattern(p, chosen) is None:
+                return list(chosen)
             return None
-        if start == len(vectors) or not coverable(start):
-            return None
-        vec = vectors[start]
-        top = min(residual[v] for v in range(p.n) if vec[v])
-        for mult in range(top, -1, -1):
-            for v in range(p.n):
-                residual[v] -= mult * vec[v]
-            chosen.append((vec, mult))
-            bad = search(start + 1)
+        for i in range(start, len(masks)):
+            if pos & ~suffix[i]:
+                return None
+            if masks[i] & ~pos:
+                continue
+            sup = supports[i]
+            top = min(residual[v] for v in sup)
+            for v in sup:
+                residual[v] -= top
+            finished = sum(1 << v for v in sup if residual[v] == 0)
+            chosen.append((vectors[i], top))
+            bad = search(i + 1, pos & ~finished)
+            mult = top
+            while bad is None and mult > 1:
+                mult -= 1
+                for v in sup:
+                    residual[v] += 1
+                chosen[-1] = (vectors[i], mult)
+                bad = search(i + 1, pos)
             chosen.pop()
-            for v in range(p.n):
-                residual[v] += mult * vec[v]
+            for v in sup:
+                residual[v] += mult
             if bad is not None:
                 return bad
         return None
 
-    witness = search(0)
+    witness = search(0, sum(1 << v for v, r in enumerate(p.s) if r))
     if witness is None:
         return True, None
     return False, tuple(witness)

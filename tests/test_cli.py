@@ -163,6 +163,16 @@ def test_decide_prune_matching_flag(tmp_path, capsys):
     assert "verdict: NOT_CHOOSABLE" in out
 
 
+def test_decide_extended_mode_refuses_prune_matching(tmp_path, capsys):
+    path = write_problem(tmp_path, cycle(5))
+    code, out, err = run_cli(
+        capsys, ["decide", path, "--mode", "extended", "--prune-matching", "--json"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "error:" in err and "standard stage" in err
+
+
 # error handling
 
 def test_missing_file_exits_3(tmp_path, capsys):

@@ -300,6 +300,91 @@ def test_pattern_cap_is_enforced():
     assert len(many) > 1
 
 
+def _reference_patterns(vectors, s, cap=100):
+    """The pattern search before skip-ahead: one call per candidate
+    vector and multiplicity, a full coverage rescan at every node."""
+    n = len(s)
+    cand = sorted(
+        {tuple(v) for v in vectors if any(v)},
+        key=lambda vec: (-sum(vec), tuple(-x for x in vec)),
+    )
+    residual = list(s)
+    chosen = []
+    found = []
+
+    def coverable(start):
+        for v in range(n):
+            if residual[v] and not any(cand[i][v] for i in range(start, len(cand))):
+                return False
+        return True
+
+    def search(start):
+        if all(r == 0 for r in residual):
+            found.append(tuple((vec, mult) for vec, mult in chosen if mult))
+            if len(found) > cap:
+                raise PatternCapExceeded(cap)
+            return
+        if start == len(cand) or not coverable(start):
+            return
+        vec = cand[start]
+        top = min(residual[v] for v in range(n) if vec[v])
+        for mult in range(top, -1, -1):
+            for v in range(n):
+                residual[v] -= mult * vec[v]
+            chosen.append((vec, mult))
+            search(start + 1)
+            chosen.pop()
+            for v in range(n):
+                residual[v] += mult * vec[v]
+
+    search(0)
+    return found
+
+
+def _patterns_or_cap(search, vectors, s, cap):
+    try:
+        return search(vectors, s, cap)
+    except PatternCapExceeded as exc:
+        return ("cap", exc.cap)
+
+
+@st.composite
+def _vector_sets(draw):
+    n = draw(st.integers(1, 8))
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=0, max_size=12)
+    )
+    s = draw(st.tuples(*[st.integers(1, 4)] * n))
+    return vectors, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_sets(), st.sampled_from((1, 5, 100)))
+def test_patterns_match_the_reference_search(case, cap):
+    vectors, s = case
+    assert _patterns_or_cap(enumerate_assignment_patterns, vectors, s, cap) == (
+        _patterns_or_cap(_reference_patterns, vectors, s, cap)
+    )
+
+
+def test_patterns_match_the_reference_on_dense_vector_sets():
+    # every nonzero vector on 3 and 4 vertices: many patterns, long walks
+    for n in (3, 4):
+        vectors = [chi for chi in itertools.product((0, 1), repeat=n) if any(chi)]
+        for s in itertools.product((1, 2), repeat=n):
+            for cap in (1, 5, 100):
+                assert _patterns_or_cap(
+                    enumerate_assignment_patterns, vectors, s, cap
+                ) == _patterns_or_cap(_reference_patterns, vectors, s, cap)
+
+
+def test_pattern_search_depth_is_bounded_by_the_list_sizes():
+    # 2,047 candidates: one call per candidate would pass the recursion limit
+    vectors = [chi for chi in itertools.product((0, 1), repeat=11) if any(chi)]
+    with pytest.raises(PatternCapExceeded):
+        enumerate_assignment_patterns(vectors, (2,) * 11)
+
+
 # ------------------------------------------------------------- pipeline
 
 def test_pipeline_odd_cycle_not_choosable():
@@ -373,6 +458,11 @@ def test_pipeline_standard_mode_stops_after_the_standard_stage():
 def test_pipeline_rejects_unknown_mode():
     with pytest.raises(ValueError):
         pipeline_decide(cycle(4), mode="fast")
+
+
+def test_pipeline_rejects_matching_prune_in_extended_mode():
+    with pytest.raises(ValueError):
+        pipeline_decide(cycle(4), mode="extended", prune_matching=True)
 
 
 def test_pipeline_edgeless_graph():
@@ -466,6 +556,18 @@ def test_pipeline_edge_deletion_restart_choosable(monkeypatch):
     assert sorted(map(tuple, verdict.certificate["edges"])) == [(1, 5), (3, 4)]
     assert verdict.details["deleted_edges"] == verdict.certificate["edges"]
     assert verdict.details["inner"]["status"] == CHOOSABLE
+    # the reduced wheel has a standard witness, so in the default mode its
+    # run stops after the standard stage
+    reduced = wheel().without_edges([(1, 5), (3, 4)])
+    inner_details = verdict.details["inner"]["details"]
+    assert inner_details == pipeline_decide(reduced).details
+    assert inner_details["standard_stats"] != verdict.details["standard_stats"]
+    _force_first_pattern_call_over_cap(monkeypatch)
+    extended = pipeline_decide(wheel(), mode="extended")
+    assert extended.certificate == verdict.certificate
+    inner_details = extended.details["inner"]["details"]
+    assert inner_details == pipeline_decide(reduced, mode="extended").details
+    assert inner_details["extended_stats"] != extended.details["extended_stats"]
 
 
 def test_pipeline_edge_deletion_restart_bad_assignment(monkeypatch):

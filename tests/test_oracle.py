@@ -18,7 +18,14 @@ from choosability import (
 )
 from choosability.oracle import AS_REFERENCE, UNORIENTED, orientable_within_budget
 
-from _examples import complete, cycle, fan, random_problem, wheel
+from _examples import (
+    agreement_corpus,
+    complete,
+    cycle,
+    fan,
+    random_problem,
+    wheel,
+)
 
 
 def test_direct_coefficient_on_even_cycle():
@@ -206,3 +213,75 @@ def test_brute_force_witness_vectors_are_characteristic():
         for vec, mult in witness:
             assert mult >= 1
             assert any(vec)
+
+
+def test_brute_force_node_budget_is_enforced():
+    with pytest.raises(OracleLimitError, match="node budget exhausted"):
+        brute_force_choosable(cycle(5), max_nodes=1)
+    assert brute_force_choosable(cycle(5), max_nodes=2) == (
+        False,
+        (((1, 1, 1, 1, 1), 2),),
+    )
+
+
+def _reference_brute_force(p):
+    """The exhaustive search before skip-ahead: one call per vector and
+    multiplicity, a full coverage rescan at every node."""
+    vectors = [
+        tuple((mask >> v) & 1 for v in range(p.n)) for mask in range(1, 1 << p.n)
+    ]
+    vectors.sort(key=lambda vec: (-sum(vec), tuple(-x for x in vec)))
+    residual = list(p.s)
+    chosen = []
+
+    def coverable(start):
+        for v in range(p.n):
+            if residual[v] == 0:
+                continue
+            if not any(vectors[i][v] for i in range(start, len(vectors))):
+                return False
+        return True
+
+    def search(start):
+        if all(r == 0 for r in residual):
+            pattern = [(vec, mult) for vec, mult in chosen if mult > 0]
+            if color_from_pattern(p, pattern) is None:
+                return pattern
+            return None
+        if start == len(vectors) or not coverable(start):
+            return None
+        vec = vectors[start]
+        top = min(residual[v] for v in range(p.n) if vec[v])
+        for mult in range(top, -1, -1):
+            for v in range(p.n):
+                residual[v] -= mult * vec[v]
+            chosen.append((vec, mult))
+            bad = search(start + 1)
+            chosen.pop()
+            for v in range(p.n):
+                residual[v] += mult * vec[v]
+            if bad is not None:
+                return bad
+        return None
+
+    witness = search(0)
+    if witness is None:
+        return True, None
+    return False, tuple(witness)
+
+
+def test_brute_force_matches_the_reference_search():
+    rng = random.Random(47)
+    problems = agreement_corpus() + [
+        random_problem(rng, n_range=(1, 5), m_cap=10, s_range=(1, 3), name="bf%d" % i)
+        for i in range(40)
+    ]
+    problems += [cycle(3), cycle(4), cycle(5), complete(4, 2), complete(4, 3), fan()]
+    outcomes = set()
+    for p in problems:
+        if p.n > 5 or sum(p.s) > 12:
+            continue  # the reference search is slow past these sizes
+        got = brute_force_choosable(p)
+        assert got == _reference_brute_force(p), p
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
