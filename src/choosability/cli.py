@@ -86,7 +86,9 @@ def _add_run_flags(sp, modes=None, default_mode=None):
         type=int,
         default=DEFAULT_BRANCH_LIMIT,
         metavar="N",
-        help="segment size before partitioning; 0 disables partitioning",
+        help="terms a list may hold after a vertex turn before it splits into "
+        "parts of whole prefixes, growing 1, 2, 4, ... terms up to N; "
+        "0 disables splitting",
     )
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
 

@@ -218,7 +218,6 @@ def color_from_pattern(p: Problem, pattern):
     The pattern is a sequence of (vector, multiplicity) pairs; it yields
     one abstract color per unit of multiplicity, present on vertex v when
     vector[v] is 1.  Returns a per-vertex color index list or None.
-    Search picks the vertex with the fewest remaining colors first.
     """
     lists = [0] * p.n
     t = 0
@@ -228,17 +227,25 @@ def color_from_pattern(p: Problem, pattern):
                 if vec[v]:
                     lists[v] |= 1 << t
             t += 1
-    adj = p.adjacency()
-    color = [-1] * p.n
+    return _color_lists(p.n, p.adjacency(), lists)
+
+
+def _color_lists(n, adj, lists):
+    """Proper coloring from bitmask lists (bit t of lists[v]: v may take t).
+
+    Search picks the vertex with the fewest remaining colors first.
+    Returns a per-vertex color index list or None.
+    """
+    color = [-1] * n
     avail = lists[:]
 
     def walk() -> bool:
         best = -1
         best_count = 1 << 62
-        for v in range(p.n):
+        for v in range(n):
             if color[v] >= 0:
                 continue
-            c = bin(avail[v]).count("1")
+            c = avail[v].bit_count()
             if c == 0:
                 return False
             if c < best_count:
@@ -303,18 +310,27 @@ def brute_force_choosable(
     suffix = masks + [0]
     for i in range(len(masks) - 1, -1, -1):
         suffix[i] |= suffix[i + 1]
+    adj = p.adjacency()
     residual = list(p.s)
-    chosen = []
+    chosen = []  # (candidate index, multiplicity)
     budget = [max_nodes]
+
+    def colorable() -> bool:
+        lists = [0] * p.n
+        t = 0
+        for i, mult in chosen:
+            colors = ((1 << mult) - 1) << t
+            for v in supports[i]:
+                lists[v] |= colors
+            t += mult
+        return _color_lists(p.n, adj, lists) is not None
 
     def search(start: int, pos: int):
         budget[0] -= 1
         if budget[0] < 0:
             raise OracleLimitError("node budget exhausted")
         if not pos:
-            if color_from_pattern(p, chosen) is None:
-                return list(chosen)
-            return None
+            return None if colorable() else [(vectors[i], mult) for i, mult in chosen]
         for i in range(start, len(masks)):
             if pos & ~suffix[i]:
                 return None
@@ -325,14 +341,14 @@ def brute_force_choosable(
             for v in sup:
                 residual[v] -= top
             finished = sum(1 << v for v in sup if residual[v] == 0)
-            chosen.append((vectors[i], top))
+            chosen.append((i, top))
             bad = search(i + 1, pos & ~finished)
             mult = top
             while bad is None and mult > 1:
                 mult -= 1
                 for v in sup:
                     residual[v] += 1
-                chosen[-1] = (vectors[i], mult)
+                chosen[-1] = (i, mult)
                 bad = search(i + 1, pos)
             chosen.pop()
             for v in sup:

@@ -11,10 +11,14 @@ vertex and f'(v) = s(v) - 1; an unmarked term stands for x^f'.
 
 Processing an edge multiplies the polynomial by (x_head - x_tail) and
 truncates: any degree reaching s(v), beyond the single marked coordinate,
-drops the term.  The driver multiplies edges in per-vertex turns and, when
-the live term count exceeds the branch limit, splits the list by the
-degrees of the already-processed vertices and recurses on each part; parts
-are explored from the lexicographically largest prefix down.
+drops the term.  ``run_truncated_product`` multiplies edges in per-vertex
+turns.  When the live term count exceeds the branch limit, it cuts the list
+between runs of equal degrees on the already-processed vertices (prefixes)
+and recurses on each part, from the lexicographically largest prefix down.
+The first part is the largest prefix alone; each later part takes whole
+adjacent prefixes until it holds at least 2, 4, 8, ... terms, capped at the
+branch limit, so a list of thousands of tiny prefixes makes a few dozen
+parts.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ class DegreeLayout:
         n = problem.n
         order = ordering.order
         self.bits = max(problem.s).bit_length()
+        if self.bits > 64:
+            raise ValueError("list size %d does not fit in a 64-bit field" % max(problem.s))
         per_word = 64 // self.bits
         self.field_mask = (1 << self.bits) - 1
 
@@ -242,10 +248,16 @@ def run_truncated_product(
     At the turn of the vertex at position i, the edges joining it to
     later-position vertices are multiplied in, in increasing position of
     the far endpoint.  After a turn, if the term count exceeds
-    branch_limit, the list splits by the degrees of positions 0..i (which
-    no later edge can change) and the parts run independently, largest
-    prefix first.  Completed parts hand their final terms to ``sink``,
-    which returns True to stop the whole run (early termination).
+    branch_limit, the list splits into parts that run independently.  A
+    part is a run of whole prefixes, the degrees of positions 0..i, which
+    no later edge can change.  Walking down from the largest prefix, a
+    part takes prefixes until it holds at least ``need`` terms; ``need``
+    starts at 1 and doubles after each part, up to branch_limit.  Prefix
+    fields are the most significant, so parts deliver in descending key
+    order, and terms that could still meet (a tight group shares its
+    base) never straddle two parts.  Completed parts hand their final
+    terms to ``sink``, which returns True to stop the whole run (early
+    termination).  ``RunStats.branches`` counts the parts.
 
     branch_limit None disables splitting.  prune_matching applies only to
     standard mode: at every turn boundary, terms whose remaining degree
@@ -295,12 +307,17 @@ def run_truncated_product(
             if branch_limit is not None and len(terms) > branch_limit and i < n - 1:
                 masked = terms.keys & layout.prefix_masks[i]
                 change = np.any(masked[1:] != masked[:-1], axis=1)
-                bounds = [0, *(np.flatnonzero(change) + 1), len(terms)]
-                for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
+                bounds = np.concatenate(([0], np.flatnonzero(change) + 1))
+                b, need = len(terms), 1
+                while b > 0:
+                    # the fewest whole prefixes ending at b that hold >= need terms
+                    k = np.searchsorted(bounds, b - need, "right") - 1
+                    a = int(bounds[max(k, 0)])
                     stats.branches += 1
                     part = TermList(terms.keys[a:b], terms.coeffs[a:b])
                     if run_segment(part, i + 1):
                         return True
+                    b, need = a, min(2 * need, branch_limit)
                 return False
         if sink is None:
             return False

@@ -196,6 +196,17 @@ def test_bad_branch_limit_exits_3(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["decide", "coefficients", "bench"])
+def test_list_size_past_one_word_exits_3(monkeypatch, capsys, command):
+    # 2^70 needs a 71-bit degree field, wider than a packed key word
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n%d 1\n0 1\n" % 2**70))
+    code, out, err = run_cli(capsys, [command, "-"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "64-bit field" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["decide", "x.prob", "--heuristic", "NOPE"])

@@ -14,8 +14,10 @@ from choosability import (
     VertexOrdering,
     direct_coefficient,
     order_vertices,
+    pipeline_decide,
     poly,
 )
+from choosability.graphs import generate_family
 from choosability.oracle import orientable_within_budget
 from choosability.poly import (
     DegreeLayout,
@@ -28,7 +30,7 @@ from choosability.poly import (
 )
 from choosability.decide import ConstraintBasis, _ConstraintSink
 
-from _examples import cycle, complete, fan, random_problem
+from _examples import agreement_corpus, coefficient_corpus, cycle, complete, fan, random_problem
 
 
 class Collector:
@@ -87,6 +89,16 @@ def test_pack_rejects_out_of_range():
         layout.pack((3, 0))
     with pytest.raises(ValueError):
         layout.pack((-1, 0))
+
+
+def test_layout_rejects_fields_wider_than_a_word():
+    widest = Problem(n=2, s=(2**64 - 1, 1), edges=((0, 1),))
+    layout = DegreeLayout(widest, order_vertices(widest, "INPUT"))
+    assert layout.bits == 64
+    assert layout.unpack(layout.pack((2**64 - 1, 1))) == (2**64 - 1, 1)
+    too_wide = Problem(n=2, s=(2**64, 1), edges=((0, 1),))
+    with pytest.raises(ValueError, match="64-bit field"):
+        DegreeLayout(too_wide, order_vertices(too_wide, "INPUT"))
 
 
 def test_layout_spans_multiple_words():
@@ -267,6 +279,76 @@ def test_branch_limit_does_not_change_final_terms(mode):
                 reference = result
             else:
                 assert result == reference
+
+
+SPLIT_LIMITS = (1, 2, 8, 50, None)
+
+
+class DeliveryRecorder:
+    """Sink that keeps each delivery's keys and coefficients as given."""
+
+    def __init__(self):
+        self.deliveries = []
+
+    def __call__(self, layout, terms):
+        self.deliveries.append((terms.keys.copy(), terms.coeffs.copy()))
+        return False
+
+
+def _split_cases():
+    rng = random.Random(61)
+    return [
+        random_problem(rng, n_range=(4, 8), m_cap=14, name="sp%d" % i) for i in range(10)
+    ] + [generate_family("glued-cliques", 2, 4), generate_family("glued-cliques", 3, 3)]
+
+
+def _rebuilt(deliveries):
+    """The deliveries concatenated in reverse order, or None if there are none."""
+    if not deliveries:
+        return None
+    return (
+        np.concatenate([keys for keys, _ in deliveries[::-1]]),
+        np.concatenate([coeffs for _, coeffs in deliveries[::-1]]),
+    )
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_parts_arrive_in_descending_order_and_rebuild_the_unsplit_list(mode):
+    for p in _split_cases():
+        ordering = order_vertices(p, "MD+PROC")
+        unsplit = DeliveryRecorder()
+        run_truncated_product(p, ordering, mode=mode, branch_limit=None, sink=unsplit)
+        assert len(unsplit.deliveries) <= 1
+        whole = _rebuilt(unsplit.deliveries)
+        for limit in SPLIT_LIMITS[:-1]:
+            sink = DeliveryRecorder()
+            run_truncated_product(p, ordering, mode=mode, branch_limit=limit, sink=sink)
+            for (keys, _), (later, _) in zip(sink.deliveries, sink.deliveries[1:]):
+                smallest = tuple(int(x) for x in keys[0])
+                largest = tuple(int(x) for x in later[-1])
+                assert smallest > largest, (p.name, limit)
+            got = _rebuilt(sink.deliveries)
+            if whole is None:
+                assert got is None, (p.name, limit)
+            else:
+                assert np.array_equal(got[0], whole[0]), (p.name, limit)
+                assert np.array_equal(got[1], whole[1]), (p.name, limit)
+
+
+def test_verdicts_do_not_depend_on_the_split():
+    for p in coefficient_corpus() + agreement_corpus():
+        outcomes = []
+        for limit in SPLIT_LIMITS:
+            v = pipeline_decide(p, branch_limit=limit)
+            outcomes.append((v.status, v.certificate, v.reason, v.details.get("constraint_rank")))
+        assert all(o == outcomes[0] for o in outcomes), p.name
+
+
+def test_growing_parts_keep_branchy_runs_short():
+    # one part per distinct prefix made 1,033 extended branches here
+    verdict = pipeline_decide(generate_family("glued-cliques", 2, 5), branch_limit=2000)
+    assert verdict.status == "NOT_CHOOSABLE"
+    assert verdict.details["extended_stats"]["branches"] <= 100
 
 
 def test_extended_finals_are_homogeneous():
