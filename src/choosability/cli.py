@@ -31,8 +31,8 @@ from .graphs import (
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
     CoefficientOverflow,
+    iter_terms,
     run_truncated_product,
-    unpack_terms,
 )
 
 EXIT_CODES = {
@@ -258,40 +258,24 @@ def _cmd_decide(args) -> int:
     return EXIT_CODES[verdict.status]
 
 
-class _CollectSink:
-    """Keeps every delivered final term."""
-
-    def __init__(self):
-        self.rows = []
-
-    def __call__(self, layout, terms):
-        degrees, markers, coeffs = unpack_terms(layout, terms)
-        for k in range(len(coeffs)):
-            self.rows.append(
-                (
-                    tuple(int(x) for x in degrees[k]),
-                    int(markers[k]),
-                    int(coeffs[k]),
-                )
-            )
-        return False
-
-
 def _cmd_coefficients(args) -> int:
     cfg = _config_from_args(args, args.mode)
     p = read_problem(args.problem)
     ordering = order_vertices(p, cfg.heuristic)
-    sink = _CollectSink()
+    rows = []
     try:
         run_truncated_product(
-            p, ordering, mode=cfg.mode, branch_limit=cfg.branch_limit, sink=sink
+            p,
+            ordering,
+            mode=cfg.mode,
+            branch_limit=cfg.branch_limit,
+            sink=lambda layout, terms: rows.extend(iter_terms(layout, terms)),
         )
     except CoefficientOverflow as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CODES[decide_mod.UNKNOWN]
-    rows = sorted(
-        sink.rows, key=lambda r: (r[0], 0 if r[1] < 0 else 1, r[1])
-    )
+    # unmarked terms before the marked terms of the same degrees
+    rows.sort(key=lambda r: (r[0], r[1] is not None, r[1] or 0))
     if cfg.output == "json":
         print(
             json.dumps(
@@ -301,7 +285,7 @@ def _cmd_coefficients(args) -> int:
                     "terms": [
                         {
                             "f": list(f),
-                            "marker": None if marker < 0 else marker,
+                            "marker": marker,
                             "coefficient": coeff,
                         }
                         for f, marker, coeff in rows
@@ -313,7 +297,7 @@ def _cmd_coefficients(args) -> int:
         )
     else:
         for f, marker, coeff in rows:
-            mark = "-" if marker < 0 else str(marker)
+            mark = "-" if marker is None else str(marker)
             print("%s %s %d" % (" ".join(str(x) for x in f), mark, coeff))
     return 0
 

@@ -146,9 +146,6 @@ def parse_problem(text: str, name: str = "") -> Problem:
             raise ProblemFormatError("line %d: duplicate edge {%d,%d}" % (lineno, u, v))
         seen.add(e)
         edges.append(e)
-    for v, sv in enumerate(s):
-        if sv < 1:
-            raise ProblemFormatError("list size of vertex %d must be >= 1" % v)
     return Problem(n, tuple(s), tuple(edges), name)
 
 

@@ -4,6 +4,12 @@ All primitives operate on a term array pair: ``keys`` is a (terms, words)
 uint64 array of packed degree vectors (strictly increasing as big-endian
 word sequences) and ``coeffs`` the matching int64 coefficients.
 
+The emit kernels take ``(keys, coeffs, layout, v, negate)`` and read every
+bit position they need from the ``poly.DegreeLayout``: the word, shift and
+width of vertex v's degree field, its list size, and the marker field.
+``emit_mark`` refuses a layout without a marker field, since it would
+otherwise write marker codes over degree fields.
+
 Overflow policy: a combined coefficient that wraps past the int64 range,
 or lands exactly on INT64_MIN (whose negation would wrap later), raises a
 flag that callers turn into an error.
@@ -20,27 +26,32 @@ import numpy as np
 INT64_MIN = np.iinfo(np.int64).min
 
 
-def emit_bump(keys, coeffs, fw, fs, fmask, slim, aw, ainc, negate):
-    """Terms with field value <= slim, with that field incremented by ainc.
-
-    Needs -1 <= slim < fmask, as list sizes of at least 1 give.
-    """
-    limit = np.uint64((slim + 1) << fs)
-    take = np.flatnonzero((keys[:, fw] & np.uint64(fmask << fs)) < limit)
+def emit_bump(keys, coeffs, layout, v, negate):
+    """Terms whose degree at vertex v is at most s(v) - 2, with that degree
+    raised by one; coefficients negated when ``negate`` is set."""
+    word, shift = layout.v_word[v], layout.v_shift[v]
+    limit = np.uint64((layout.problem.s[v] - 1) << shift)
+    take = np.flatnonzero((keys[:, word] & np.uint64(layout.field_mask << shift)) < limit)
     out_k = keys[take]
     out_c = -coeffs[take] if negate else coeffs[take]
-    out_k[:, aw] += np.uint64(ainc)
+    out_k[:, word] += np.uint64(1 << shift)
     return out_k, out_c
 
 
-def emit_mark(keys, coeffs, fw, fs, fmask, starget, mw, mfield, mset, negate):
-    """Unmarked terms with field value == starget, with the marker set."""
-    field = keys[:, fw] & np.uint64(fmask << fs)
-    unmarked = (keys[:, mw] & np.uint64(mfield)) == 0
-    take = np.flatnonzero((field == np.uint64(starget << fs)) & unmarked)
+def emit_mark(keys, coeffs, layout, v, negate):
+    """Unmarked terms whose degree at vertex v is s(v) - 1, marked at v;
+    coefficients negated when ``negate`` is set."""
+    if not layout.marker_bits:
+        raise ValueError("layout has no marker field")
+    word, shift = layout.v_word[v], layout.v_shift[v]
+    mword, mshift = layout.marker_word, layout.marker_shift
+    tight = np.uint64((layout.problem.s[v] - 1) << shift)
+    field = keys[:, word] & np.uint64(layout.field_mask << shift)
+    unmarked = (keys[:, mword] & np.uint64(layout.marker_mask << mshift)) == 0
+    take = np.flatnonzero((field == tight) & unmarked)
     out_k = keys[take]
     out_c = -coeffs[take] if negate else coeffs[take]
-    out_k[:, mw] |= np.uint64(mset)
+    out_k[:, mword] |= np.uint64(layout.v_code[v] << mshift)
     return out_k, out_c
 
 

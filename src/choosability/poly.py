@@ -3,11 +3,12 @@
 A polynomial is held as a strictly sorted list of terms.  Every term packs
 its degree vector into fixed-width bit fields of one or more 64-bit words,
 laid out so that comparing the word sequences big-endian equals comparing
-the degree vectors lexicographically in processing order.  One extra field
-at the end holds an optional tight marker: code 0 means no marker, code
-i+1 means the vertex at processing position i.  A marked term with packed
-degrees f' stands for the monomial x^(f' + 1_v) where v is the marked
-vertex and f'(v) = s(v) - 1; an unmarked term stands for x^f'.
+the degree vectors lexicographically in processing order.  Extended runs
+add one field at the end for an optional tight marker: code 0 means no
+marker, code i+1 means the vertex at processing position i.  A marked term
+with packed degrees f' stands for the monomial x^(f' + 1_v) where v is the
+marked vertex and f'(v) = s(v) - 1; an unmarked term stands for x^f'.
+Standard runs never set a marker, so their layout has no marker field.
 
 Processing an edge multiplies the polynomial by (x_head - x_tail) and
 truncates: any degree reaching s(v), beyond the single marked coordinate,
@@ -36,9 +37,14 @@ class CoefficientOverflow(ArithmeticError):
 
 
 class DegreeLayout:
-    """Bit-field layout for packed degree vectors under one ordering."""
+    """Bit-field layout for packed degree vectors under one ordering.
 
-    def __init__(self, problem: Problem, ordering: VertexOrdering):
+    The only owner of the packed-key format.  With ``marked`` the keys end
+    in a tight-marker field, which extended runs need; without it
+    ``marker_bits`` and ``marker_mask`` are 0 and every term is unmarked.
+    """
+
+    def __init__(self, problem: Problem, ordering: VertexOrdering, marked: bool = True):
         if len(ordering.order) != problem.n:
             raise ValueError("ordering size does not match problem")
         self.problem = problem
@@ -55,7 +61,7 @@ class DegreeLayout:
         self.pos_word = [i // per_word for i in range(n)]
         self.pos_shift = [64 - self.bits * ((i % per_word) + 1) for i in range(n)]
 
-        self.marker_bits = n.bit_length()
+        self.marker_bits = n.bit_length() if marked else 0
         last_word = self.pos_word[n - 1]
         used = 64 - self.pos_shift[n - 1]
         if used + self.marker_bits <= 64:
@@ -159,38 +165,11 @@ def iter_terms(layout: DegreeLayout, terms: TermList):
         yield tuple(int(x) for x in degrees[i]), marker, int(coeffs[i])
 
 
-def _bump_args(layout, v, negate):
-    s = layout.problem.s
-    return (
-        layout.v_word[v],
-        layout.v_shift[v],
-        layout.field_mask,
-        s[v] - 2,
-        layout.v_word[v],
-        1 << layout.v_shift[v],
-        negate,
-    )
-
-
-def _mark_args(layout, v, negate):
-    s = layout.problem.s
-    return (
-        layout.v_word[v],
-        layout.v_shift[v],
-        layout.field_mask,
-        s[v] - 1,
-        layout.marker_word,
-        layout.marker_mask << layout.marker_shift,
-        layout.v_code[v] << layout.marker_shift,
-        negate,
-    )
-
-
 def multiply_edge_standard(terms: TermList, u: int, v: int, layout: DegreeLayout) -> TermList:
     """Truncated product with (x_head - x_tail) for the edge {u, v}."""
     tail, head = (u, v) if u < v else (v, u)
-    hk, hc = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, head, False))
-    tk, tc = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, tail, True))
+    hk, hc = emit_bump(terms.keys, terms.coeffs, layout, head, False)
+    tk, tc = emit_bump(terms.keys, terms.coeffs, layout, tail, True)
     keys, coeffs, overflow = merge2(hk, hc, tk, tc)
     if overflow:
         raise CoefficientOverflow("edge {%d,%d}" % (u, v))
@@ -200,12 +179,13 @@ def multiply_edge_standard(terms: TermList, u: int, v: int, layout: DegreeLayout
 def multiply_edge_extended(terms: TermList, u: int, v: int, layout: DegreeLayout) -> TermList:
     """Like the standard product, but a degree reaching s(v) - 1 on an
     unmarked term becomes a tight marker instead of being dropped; terms
-    that would acquire a second tight coordinate are dropped."""
+    that would acquire a second tight coordinate are dropped.  Raises
+    ValueError on a layout without a marker field."""
     tail, head = (u, v) if u < v else (v, u)
-    ak, ac = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, head, False))
-    bk, bc = emit_mark(terms.keys, terms.coeffs, *_mark_args(layout, head, False))
-    ck, cc = emit_bump(terms.keys, terms.coeffs, *_bump_args(layout, tail, True))
-    dk, dc = emit_mark(terms.keys, terms.coeffs, *_mark_args(layout, tail, True))
+    ak, ac = emit_bump(terms.keys, terms.coeffs, layout, head, False)
+    bk, bc = emit_mark(terms.keys, terms.coeffs, layout, head, False)
+    ck, cc = emit_bump(terms.keys, terms.coeffs, layout, tail, True)
+    dk, dc = emit_mark(terms.keys, terms.coeffs, layout, tail, True)
     hk, hc, over1 = merge2(ak, ac, bk, bc)
     tk, tc, over2 = merge2(ck, cc, dk, dc)
     keys, coeffs, over3 = merge2(hk, hc, tk, tc)
@@ -270,7 +250,7 @@ def run_truncated_product(
         raise ValueError("mode must be standard or extended")
     if branch_limit is not None and branch_limit < 1:
         raise ValueError("branch limit must be positive")
-    layout = DegreeLayout(problem, ordering)
+    layout = DegreeLayout(problem, ordering, marked=mode == "extended")
     adj = problem.adjacency()
     position = problem.n * [0]
     for i, v in enumerate(ordering.order):

@@ -1,10 +1,13 @@
 """The emit and merge kernels on packed term arrays."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choosability import Problem, VertexOrdering
 from choosability.kernels import INT64_MIN, emit_bump, emit_mark, merge2
+from choosability.poly import DegreeLayout, TermList, iter_terms
 
 INT64_MAX = 2**63 - 1
 
@@ -92,19 +95,58 @@ def test_merge2_single_word_path_matches_lexsort_path(run_a, run_b):
     assert (keys[:, 0].tolist(), coeffs.tolist(), overflow) == expected
 
 
+def _layout_and_terms(entries, marked=True):
+    """A two-vertex layout and a sorted term list of (f, marker, coeff)."""
+    p = Problem(n=2, s=(3, 3), edges=())
+    layout = DegreeLayout(p, VertexOrdering(order=(0, 1)), marked=marked)
+    keys = []
+    for f, marker, _ in entries:
+        key = layout.pack(f)
+        if marker is not None:
+            key[layout.marker_word] |= np.uint64(layout.v_code[marker] << layout.marker_shift)
+        keys.append(key)
+    order = sorted(range(len(keys)), key=lambda i: tuple(int(x) for x in keys[i]))
+    keys = np.stack([keys[i] for i in order])
+    coeffs = np.array([entries[i][2] for i in order], dtype=np.int64)
+    return layout, keys, coeffs
+
+
 def test_emit_bump_filters_and_increments():
-    # single word, field at bits 4..7, addend at bit 0
-    keys = np.array([[0x10], [0x20], [0x30]], dtype=np.uint64)
-    coeffs = np.array([1, 2, 3], dtype=np.int64)
-    out_k, out_c = emit_bump(keys, coeffs, 0, 4, 0xF, 2, 0, 1, True)
-    assert out_k.tolist() == [[0x11], [0x21]]
-    assert out_c.tolist() == [-1, -2]
+    layout, keys, coeffs = _layout_and_terms(
+        [((0, 0), None, 1), ((0, 1), None, 2), ((0, 2), None, 3), ((2, 1), 0, 4)]
+    )
+    # vertex 1 has s = 3: degrees 0 and 1 are raised, degree 2 is dropped,
+    # and the raise leaves the marker field alone
+    out_k, out_c = emit_bump(keys, coeffs, layout, 1, True)
+    assert list(iter_terms(layout, TermList(out_k, out_c))) == [
+        ((0, 1), None, -1),
+        ((0, 2), None, -2),
+        ((2, 2), 0, -4),
+    ]
+    out_k, out_c = emit_bump(keys, coeffs, layout, 0, False)
+    assert list(iter_terms(layout, TermList(out_k, out_c))) == [
+        ((1, 0), None, 1),
+        ((1, 1), None, 2),
+        ((1, 2), None, 3),
+    ]
 
 
 def test_emit_mark_skips_marked_terms():
-    # field at bits 4..7, marker field at bits 0..3
-    keys = np.array([[0x20], [0x21], [0x30]], dtype=np.uint64)
-    coeffs = np.array([1, 2, 3], dtype=np.int64)
-    out_k, out_c = emit_mark(keys, coeffs, 0, 4, 0xF, 2, 0, 0xF, 0x5, False)
-    assert out_k.tolist() == [[0x25]]
-    assert out_c.tolist() == [1]
+    layout, keys, coeffs = _layout_and_terms(
+        [((0, 1), None, 1), ((0, 2), None, 2), ((2, 2), 0, 3), ((1, 2), None, 4)]
+    )
+    # vertex 1 is tight at degree 2; the term already marked at 0 is skipped
+    out_k, out_c = emit_mark(keys, coeffs, layout, 1, False)
+    assert list(iter_terms(layout, TermList(out_k, out_c))) == [
+        ((0, 2), 1, 2),
+        ((1, 2), 1, 4),
+    ]
+    out_k, out_c = emit_mark(keys, coeffs, layout, 1, True)
+    assert out_c.tolist() == [-2, -4]
+
+
+def test_emit_mark_refuses_a_layout_without_a_marker_field():
+    layout, keys, coeffs = _layout_and_terms([((0, 2), None, 1)], marked=False)
+    assert layout.marker_bits == 0
+    with pytest.raises(ValueError, match="no marker field"):
+        emit_mark(keys, coeffs, layout, 1, False)

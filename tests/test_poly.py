@@ -17,7 +17,7 @@ from choosability import (
     pipeline_decide,
     poly,
 )
-from choosability.graphs import generate_family
+from choosability.graphs import DEFAULT_HEURISTIC, generate_family
 from choosability.oracle import orientable_within_budget
 from choosability.poly import (
     DegreeLayout,
@@ -220,6 +220,80 @@ def test_extended_groups_share_base_and_markers_are_tight():
             assert grouped == terms
             for base, marker, _ in grouped:
                 assert base[marker] == p.s[marker] - 1
+
+
+@st.composite
+def problem_and_term_list(draw):
+    """A random problem whose fields fill one or two words, with a random
+    starting term list that may overflow on the next edge."""
+    bits = draw(st.sampled_from([2, 3, 5, 8]))
+    # near a full word, the marker field decides between one and two words
+    per_word = 64 // bits
+    n = draw(st.one_of(st.integers(2, 6), st.integers(per_word - 2, per_word + 1)))
+    s = tuple(draw(st.integers(2 ** (bits - 1), 2**bits - 1)) for _ in range(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = tuple(sorted(draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=8))))
+    degrees = st.tuples(*(st.integers(0, sv) for sv in s))
+    coeffs = st.one_of(st.integers(-3, 3).filter(bool), st.sampled_from([2**62, -(2**62)]))
+    start = draw(st.dictionaries(degrees, coeffs, min_size=1, max_size=20))
+    # partners that the first edge merges into the same key, so that
+    # coefficients combine and, at +-2^62, can overflow
+    tail, head = edges[0]
+    for f in list(start):
+        if f[tail] > 0 and f[head] < s[head] and draw(st.booleans()):
+            g = list(f)
+            g[tail] -= 1
+            g[head] += 1
+            start.setdefault(tuple(g), draw(coeffs))
+    return Problem(n=n, s=s, edges=edges), sorted(start.items())
+
+
+def _standard_chain(p, layout, start):
+    """Unpacked terms after each edge, ending in "overflow" if one raises."""
+    terms = _term_list(layout, start)
+    out = []
+    for u, v in p.edges:
+        try:
+            terms = multiply_edge_standard(terms, u, v, layout)
+        except CoefficientOverflow:
+            return out + ["overflow"]
+        degrees, markers, coeffs = unpack_terms(layout, terms)
+        assert (markers == -1).all()
+        out.append((degrees.tolist(), coeffs.tolist()))
+    return out
+
+
+@given(problem_and_term_list())
+@settings(max_examples=150, deadline=None)
+def test_standard_multiply_does_not_need_the_marker_field(case):
+    p, start = case
+    ordering = order_vertices(p, "INPUT")
+    marked = DegreeLayout(p, ordering)
+    plain = DegreeLayout(p, ordering, marked=False)
+    assert plain.marker_bits == 0 and plain.words in (marked.words, marked.words - 1)
+    assert _standard_chain(p, plain, start) == _standard_chain(p, marked, start)
+
+
+@pytest.mark.parametrize("family", [("grid-diag", 4), ("cycle-triangles", 10)])
+def test_standard_runs_of_paper_families_use_one_word(family):
+    p = generate_family(*family)
+    words = []
+
+    def first(layout, terms):
+        words.append(layout.words)
+        return True
+
+    run_truncated_product(p, order_vertices(p, DEFAULT_HEURISTIC), sink=first)
+    assert words == [1]
+    # the marker field is what would take the keys into a second word
+    assert DegreeLayout(p, order_vertices(p, "INPUT")).words == 2
+
+
+def test_extended_multiply_refuses_an_unmarked_layout():
+    p = Problem(n=2, s=(1, 1), edges=((0, 1),))
+    layout = DegreeLayout(p, order_vertices(p, "INPUT"), marked=False)
+    with pytest.raises(ValueError, match="no marker field"):
+        multiply_edge_extended(TermList.unit(layout), 0, 1, layout)
 
 
 # ------------------------------------------------------------- the driver
