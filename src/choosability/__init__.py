@@ -32,13 +32,11 @@ from .poly import (
 )
 from .oracle import (
     OracleLimitError,
-    PartialOrientation,
     brute_force_choosable,
     coefficient_table,
     color_from_pattern,
     count_bounded_orientations,
     direct_coefficient,
-    extendable_to_f_orientation,
     orientable_within_budget,
 )
 from .decide import (
@@ -85,12 +83,10 @@ __all__ = [
     "collect_constraints",
     "color_from_pattern",
     "count_bounded_orientations",
-    "PartialOrientation",
     "current_backend",
     "direct_coefficient",
     "enumerate_assignment_patterns",
     "enumerate_feasible_vectors",
-    "extendable_to_f_orientation",
     "find_deletable_edges",
     "format_problem",
     "generate_family",

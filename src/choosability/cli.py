@@ -55,16 +55,6 @@ class Config:
     prune_matching: bool = False
     output: str = "text"
 
-    def __post_init__(self):
-        if self.heuristic not in HEURISTICS:
-            raise ValueError("unknown heuristic %r" % (self.heuristic,))
-        if self.branch_limit is not None and self.branch_limit <= 0:
-            raise ValueError("branch limit must be positive (or unlimited)")
-        if self.pattern_cap <= 0 or self.feasible_cap <= 0:
-            raise ValueError("caps must be positive")
-        if self.output not in ("text", "json"):
-            raise ValueError("unknown output format %r" % (self.output,))
-
 
 def read_problem(path: str) -> Problem:
     if path == "-":

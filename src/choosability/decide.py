@@ -22,6 +22,7 @@ from .poly import (
     RunStats,
     TermList,
     run_truncated_product,
+    subset_sums,
     unpack_terms,
 )
 
@@ -227,38 +228,28 @@ def collect_constraints(
 def enumerate_feasible_vectors(
     basis: ConstraintBasis, n: int, cap: int = DEFAULT_FEASIBLE_CAP
 ):
-    """All chi in {0,1}^n satisfying every retained row exactly.
+    """All chi in {0,1}^n satisfying every retained row exactly, in
+    ascending order of the mask with bit v set when chi(v) = 1.
 
-    Exhaustive over the 2^n candidates (chunked); raises
-    FeasibleSearchTooLarge when n exceeds the cap.
+    Each row's residues mod p are summed over all 2^n masks at once, and
+    a mask is kept when every sum vanishes mod p.  Residues are below
+    p < 2^31, so the sums are exact in int64.  A row whose absolute
+    values sum below p cannot wrap, so a zero residue is already an
+    exact zero; the kept masks are rechecked exactly against the other
+    rows.  Raises FeasibleSearchTooLarge when n exceeds the cap.
     """
     if n > cap:
         raise FeasibleSearchTooLarge("n=%d exceeds the cap %d" % (n, cap))
-    rows = [cr.row for cr in basis.rows]
-    if not rows:
-        return [
-            tuple((mask >> v) & 1 for v in range(n)) for mask in range(1 << n)
-        ]
-    biggest = max(abs(x) for row in rows for x in row)
-    if biggest > (2**62) // max(n, 1):
-        # keep the arithmetic exact when int64 dot products could wrap
-        out = []
-        for mask in range(1 << n):
-            chi = tuple((mask >> v) & 1 for v in range(n))
-            if all(sum(r * c for r, c in zip(row, chi)) == 0 for row in rows):
-                out.append(chi)
-        return out
-    mat = np.array(rows, dtype=np.int64).T  # (n, r)
-    shifts = np.arange(n, dtype=np.int64)
+    keep = np.ones(1 << n, dtype=bool)
+    for cr in basis.rows:
+        residues = np.array([x % P_FIELD for x in cr.row], dtype=np.int64)
+        keep &= subset_sums(residues) % P_FIELD == 0
+    wide = [cr.row for cr in basis.rows if sum(map(abs, cr.row)) >= P_FIELD]
     out = []
-    chunk = 1 << 20
-    for lo in range(0, 1 << n, chunk):
-        hi = min(lo + chunk, 1 << n)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.int64)
-        good = masks[(bits @ mat == 0).all(axis=1)]
-        for mask in good:
-            out.append(tuple(int((int(mask) >> v) & 1) for v in range(n)))
+    for mask in np.flatnonzero(keep).tolist():
+        chi = tuple((mask >> v) & 1 for v in range(n))
+        if all(sum(r * c for r, c in zip(row, chi)) == 0 for row in wide):
+            out.append(chi)
     return out
 
 
@@ -367,10 +358,13 @@ def pipeline_decide(
     downgrades the verdict to UNKNOWN with the partial findings kept.
     mode "standard" runs only the first stage, "extended" skips it, and
     "pipeline" runs them all.  The matching prune acts on the standard
-    stage only, so mode "extended" refuses it.
+    stage only, so mode "extended" refuses it.  Both caps must be at
+    least 1.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % ", ".join(MODES))
+    if min(pattern_cap, feasible_cap) < 1:
+        raise ValueError("the pattern and feasible caps must be at least 1")
     if mode == "extended" and prune_matching:
         raise ValueError("the matching prune applies only to the standard stage")
     details: dict = {}

@@ -71,10 +71,6 @@ class Problem:
             adj[v].add(u)
         return adj
 
-    def reference_orientation(self) -> tuple[tuple[int, int], ...]:
-        """(tail, head) per edge: tail is the lower original index."""
-        return tuple((u, v) for u, v in self.edges)
-
     def without_edges(self, removed) -> "Problem":
         gone = {(min(u, v), max(u, v)) for u, v in removed}
         kept = tuple(e for e in self.edges if e not in gone)

@@ -8,41 +8,13 @@ renaming.  Intended for small instances and for validating the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Problem
 
-UNORIENTED, AS_REFERENCE, FLIPPED = 0, 1, 2
-
 
 class OracleLimitError(ValueError):
     """An enumeration was refused because it exceeds the configured limits."""
-
-
-@dataclass
-class PartialOrientation:
-    """Per-edge orientation state, aligned with Problem.edges.
-
-    AS_REFERENCE directs an edge from its lower to its higher endpoint,
-    FLIPPED the other way.
-    """
-
-    states: list[int]
-
-    @classmethod
-    def empty(cls, p: Problem) -> "PartialOrientation":
-        return cls([UNORIENTED] * p.m)
-
-    def outdegrees(self, p: Problem) -> list[int]:
-        out = [0] * p.n
-        for (u, v), st in zip(p.edges, self.states):
-            if st == AS_REFERENCE:
-                out[u] += 1
-            elif st == FLIPPED:
-                out[v] += 1
-        return out
 
 
 def direct_coefficient(p: Problem, f) -> int:
@@ -177,28 +149,6 @@ def _match_edges_to_slots(edge_list, slots):
         if not augment(i, set()):
             return False
     return True
-
-
-def extendable_to_f_orientation(p: Problem, partial: PartialOrientation, f) -> bool:
-    """Can the unoriented edges complete to outdegrees exactly f?
-
-    Reduced to bipartite matching: every vertex v offers f(v) minus its
-    current outdegree slots, and every unoriented edge must occupy a slot
-    of one of its endpoints.
-    """
-    f = list(f)
-    if sum(f) != p.m:
-        return False
-    out = partial.outdegrees(p)
-    if any(out[v] > f[v] for v in range(p.n)):
-        return False
-    un = [e for e, st in zip(p.edges, partial.states) if st == UNORIENTED]
-    slots = []
-    for v in range(p.n):
-        slots.extend([v] * (f[v] - out[v]))
-    if len(slots) != len(un):
-        return False
-    return _match_edges_to_slots(un, slots)
 
 
 def orientable_within_budget(edge_list, budget) -> bool:

@@ -315,7 +315,7 @@ HAKIMI_MAX_VERTICES = 18
 _HAKIMI_BLOCK = 1 << 21
 
 
-def _subset_sums(values):
+def subset_sums(values):
     """The sum of values[j] over the bits j of each mask, indexed by mask."""
     sums = np.zeros(1, dtype=values.dtype)
     for value in values:
@@ -371,7 +371,7 @@ class HakimiSets:
                 (lonely, (lonely & ~nbrs) | np.where(shared == 0, 1 << j, 0))
             )
         floor = [min(floor[v], d) for v, d in zip(self.vertices, self.degrees)]
-        least = _subset_sums(np.array(floor, dtype=np.int64))
+        least = subset_sums(np.array(floor, dtype=np.int64))
         self.masks = np.flatnonzero((lonely == 0) & (edges_in > least))
         self.edges_in = edges_in[self.masks].astype(np.float32)
 
@@ -400,7 +400,7 @@ def _prune_unreachable(layout, terms, sets):
     for j, v in enumerate(sets.vertices):
         field = (terms.keys[:, layout.v_word[v]] >> np.uint64(layout.v_shift[v])) & mask
         budgets[:, j] = np.minimum(s[v] - 1 - field.astype(np.int64), sets.degrees[j])
-    tight = sets.edges_in > _subset_sums(budgets.min(axis=0))[sets.masks]
+    tight = sets.edges_in > subset_sums(budgets.min(axis=0))[sets.masks]
     if not tight.any():
         return terms
     members = sets.members(sets.masks[tight])

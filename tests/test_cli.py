@@ -156,6 +156,15 @@ def test_decide_feasible_cap_flag(tmp_path, capsys):
     assert "reason: FeasibleSearchTooLarge" in out
 
 
+@pytest.mark.parametrize("flag", ["--pattern-cap", "--feasible-cap"])
+def test_decide_cap_below_one_exits_3(tmp_path, capsys, flag):
+    path = write_problem(tmp_path, cycle(5))
+    code, out, err = run_cli(capsys, ["decide", path, flag, "0"])
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
+
+
 def test_decide_prune_matching_flag(tmp_path, capsys):
     path = write_problem(tmp_path, cycle(5))
     code, out, _ = run_cli(capsys, ["decide", path, "--prune-matching"])

@@ -14,6 +14,7 @@ from choosability import (
     UNKNOWN,
     CoefficientOverflow,
     ConstraintBasis,
+    ConstraintRow,
     FeasibleSearchTooLarge,
     PatternCapExceeded,
     Problem,
@@ -264,6 +265,54 @@ def test_full_rank_basis_leaves_only_zero():
     assert enumerate_feasible_vectors(basis, 2) == [(0, 0)]
 
 
+P = decide_module.P_FIELD
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # residues (0, 1) admit (1, 0), whose exact sum is p
+        (P, 1),
+        # absolute values summing to exactly p: (1, 1) sums to p
+        (P - 1, 1),
+    ],
+)
+def test_feasible_enumeration_rechecks_rows_that_vanish_mod_p(row):
+    basis = ConstraintBasis(2)
+    assert basis.add((0, 0), row)
+    assert enumerate_feasible_vectors(basis, 2) == [(0, 0)]
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(lambda d: 2**62 + d),
+    st.integers(-3, 3).map(lambda d: -(2**62) + d),
+    st.integers(-3, 3).map(lambda k: k * P),
+    st.tuples(st.integers(-3, 3), st.integers(-1, 1)).map(lambda kd: kd[0] * P + kd[1]),
+    st.sampled_from([2**63, -(2**63) - 1]),
+)
+
+
+@st.composite
+def scan_bases(draw):
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), max_size=3))
+    basis = ConstraintBasis(n)
+    # set the rows directly: the scan must be exact whatever rows it holds,
+    # including rows the mod-p independence test would drop
+    basis.rows = [ConstraintRow((0,) * n, tuple(row)) for row in rows]
+    return n, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_bases())
+def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
+    n, basis = case
+    every = (tuple((mask >> v) & 1 for v in range(n)) for mask in range(1 << n))
+    expected = [chi for chi in every if basis.satisfied_by(chi)]
+    assert enumerate_feasible_vectors(basis, n) == expected
+
+
 # ------------------------------------------------------------- patterns
 
 def test_fan_pattern_is_unique():
@@ -500,6 +549,12 @@ def test_pipeline_pattern_cap_without_deletable_edges():
     assert capped.status == UNKNOWN
     assert capped.reason == "TooManyPatterns"
     assert capped.details["deletable_edges"] == []
+
+
+@pytest.mark.parametrize("cap", ["pattern_cap", "feasible_cap"])
+def test_pipeline_rejects_a_cap_below_one(cap):
+    with pytest.raises(ValueError):
+        pipeline_decide(cycle(5), **{cap: 0})
 
 
 def test_pipeline_feasible_cap_gives_unknown():

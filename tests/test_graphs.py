@@ -67,11 +67,6 @@ def test_degrees_and_adjacency():
     assert p.adjacency()[4] == {0, 3}
 
 
-def test_reference_orientation_points_away_from_lower_index():
-    for tail, head in fan().reference_orientation():
-        assert tail < head
-
-
 def test_without_edges():
     p = fan().without_edges([(2, 3)])
     assert p.m == 6
