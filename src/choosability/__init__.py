@@ -47,6 +47,7 @@ from .decide import (
     ConstraintRow,
     FeasibleSearchTooLarge,
     PatternCapExceeded,
+    Settings,
     Verdict,
     collect_constraints,
     enumerate_assignment_patterns,
@@ -75,6 +76,7 @@ __all__ = [
     "Problem",
     "ProblemFormatError",
     "RunStats",
+    "Settings",
     "TermList",
     "Verdict",
     "VertexOrdering",

@@ -43,19 +43,6 @@ EXIT_CODES = {
 EXIT_ERROR = 3
 
 
-@dataclasses.dataclass(frozen=True)
-class Config:
-    """Effective settings for a run; echoed in every report."""
-
-    mode: str = "pipeline"
-    heuristic: str = DEFAULT_HEURISTIC
-    branch_limit: int | None = DEFAULT_BRANCH_LIMIT
-    pattern_cap: int = decide_mod.DEFAULT_PATTERN_CAP
-    feasible_cap: int = decide_mod.DEFAULT_FEASIBLE_CAP
-    prune_matching: bool = False
-    output: str = "text"
-
-
 def read_problem(path: str) -> Problem:
     if path == "-":
         return parse_problem(sys.stdin.read(), name="<stdin>")
@@ -152,26 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args, mode: str) -> Config:
-    return Config(
-        mode=mode,
-        heuristic=args.heuristic,
-        branch_limit=None if args.branch_limit == 0 else args.branch_limit,
-        pattern_cap=getattr(args, "pattern_cap", decide_mod.DEFAULT_PATTERN_CAP),
-        feasible_cap=getattr(args, "feasible_cap", decide_mod.DEFAULT_FEASIBLE_CAP),
-        prune_matching=getattr(args, "prune_matching", False),
-        output="json" if args.json else "text",
-    )
+def _settings(args) -> decide_mod.Settings:
+    """The run settings among the parsed flags; branch limit 0 is None."""
+    names = [f.name for f in dataclasses.fields(decide_mod.Settings)]
+    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    given["branch_limit"] = args.branch_limit or None
+    return decide_mod.Settings(**given)
 
 
-def _report(p: Problem, cfg: Config, verdict: decide_mod.Verdict) -> dict:
+def _report(p: Problem, settings: decide_mod.Settings, args, **fields) -> dict:
+    """The problem and the settings, which every report echoes, plus fields."""
+    output = "json" if args.json else "text"
     return {
         "problem": {"name": p.name, "n": p.n, "m": p.m},
-        "config": dataclasses.asdict(cfg),
-        "verdict": verdict.status,
-        "certificate": verdict.certificate,
-        "reason": verdict.reason,
-        "details": verdict.details,
+        "config": dict(vars(settings), output=output),
+        **fields,
     }
 
 
@@ -233,32 +215,33 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 
 def _cmd_decide(args) -> int:
-    cfg = _config_from_args(args, args.mode)
     p = read_problem(args.problem)
-    verdict = decide_mod.pipeline_decide(
+    settings = _settings(args)
+    verdict = decide_mod.pipeline_decide(p, **vars(settings))
+    report = _report(
         p,
-        heuristic=cfg.heuristic,
-        branch_limit=cfg.branch_limit,
-        pattern_cap=cfg.pattern_cap,
-        feasible_cap=cfg.feasible_cap,
-        prune_matching=cfg.prune_matching,
-        mode=cfg.mode,
+        settings,
+        args,
+        verdict=verdict.status,
+        certificate=verdict.certificate,
+        reason=verdict.reason,
+        details=verdict.details,
     )
-    _print_report(_report(p, cfg, verdict), cfg.output == "json")
+    _print_report(report, args.json)
     return EXIT_CODES[verdict.status]
 
 
 def _cmd_coefficients(args) -> int:
-    cfg = _config_from_args(args, args.mode)
     p = read_problem(args.problem)
-    ordering = order_vertices(p, cfg.heuristic)
+    settings = _settings(args)
+    ordering = order_vertices(p, settings.heuristic)
     rows = []
     try:
         run_truncated_product(
             p,
             ordering,
-            mode=cfg.mode,
-            branch_limit=cfg.branch_limit,
+            mode=settings.mode,
+            branch_limit=settings.branch_limit,
             sink=lambda layout, terms: rows.extend(iter_terms(layout, terms)),
         )
     except CoefficientOverflow as exc:
@@ -266,25 +249,12 @@ def _cmd_coefficients(args) -> int:
         return EXIT_CODES[decide_mod.UNKNOWN]
     # unmarked terms before the marked terms of the same degrees
     rows.sort(key=lambda r: (r[0], r[1] is not None, r[1] or 0))
-    if cfg.output == "json":
-        print(
-            json.dumps(
-                {
-                    "problem": {"name": p.name, "n": p.n, "m": p.m},
-                    "config": dataclasses.asdict(cfg),
-                    "terms": [
-                        {
-                            "f": list(f),
-                            "marker": marker,
-                            "coefficient": coeff,
-                        }
-                        for f, marker, coeff in rows
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+    if args.json:
+        terms = [
+            {"f": list(f), "marker": marker, "coefficient": coeff}
+            for f, marker, coeff in rows
+        ]
+        print(json.dumps(_report(p, settings, args, terms=terms), indent=2, sort_keys=True))
     else:
         for f, marker, coeff in rows:
             mark = "-" if marker is None else str(marker)

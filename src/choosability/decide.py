@@ -32,11 +32,36 @@ CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
 UNKNOWN = "UNKNOWN"
 
-# "standard" runs the first stage of pipeline_decide alone, "extended"
-# skips it, "pipeline" runs every stage.
 MODES = ("standard", "extended", "pipeline")
 DEFAULT_PATTERN_CAP = 100
 DEFAULT_FEASIBLE_CAP = 25
+
+
+@dataclass(frozen=True)
+class Settings:
+    """The settings of one ``pipeline_decide`` run.
+
+    mode "standard" runs only the first stage, "extended" skips it, and
+    "pipeline" runs them all.  The matching prune acts on the standard
+    stage only, so mode "extended" refuses it.  Both caps must be at
+    least 1.  The heuristic and the branch limit are checked where they
+    are used, by ``order_vertices`` and ``run_truncated_product``.
+    """
+
+    mode: str = "pipeline"
+    heuristic: str = DEFAULT_HEURISTIC
+    branch_limit: int | None = DEFAULT_BRANCH_LIMIT
+    pattern_cap: int = DEFAULT_PATTERN_CAP
+    feasible_cap: int = DEFAULT_FEASIBLE_CAP
+    prune_matching: bool = False
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError("mode must be one of %s" % ", ".join(MODES))
+        if min(self.pattern_cap, self.feasible_cap) < 1:
+            raise ValueError("the pattern and feasible caps must be at least 1")
+        if self.mode == "extended" and self.prune_matching:
+            raise ValueError("the matching prune applies only to the standard stage")
 
 
 class FeasibleSearchTooLarge(Exception):
@@ -242,8 +267,9 @@ def enumerate_feasible_vectors(
         raise FeasibleSearchTooLarge("n=%d exceeds the cap %d" % (n, cap))
     keep = np.ones(1 << n, dtype=bool)
     for cr in basis.rows:
-        residues = np.array([x % P_FIELD for x in cr.row], dtype=np.int64)
-        keep &= subset_sums(residues) % P_FIELD == 0
+        sums = subset_sums(np.array([x % P_FIELD for x in cr.row], dtype=np.int64))
+        keep &= np.remainder(sums, P_FIELD, out=sums) == 0
+        del sums  # freed before the next row's sums are built
     wide = [cr.row for cr in basis.rows if sum(map(abs, cr.row)) >= P_FIELD]
     out = []
     for mask in np.flatnonzero(keep).tolist():
@@ -338,126 +364,100 @@ def _stats_json(stats: RunStats):
     }
 
 
-def pipeline_decide(
-    p: Problem,
-    heuristic: str = DEFAULT_HEURISTIC,
-    branch_limit: int | None = DEFAULT_BRANCH_LIMIT,
-    pattern_cap: int = DEFAULT_PATTERN_CAP,
-    feasible_cap: int = DEFAULT_FEASIBLE_CAP,
-    prune_matching: bool = False,
-    mode: str = "pipeline",
-) -> Verdict:
-    """Full decision pipeline.
+def pipeline_decide(p: Problem, **settings) -> Verdict:
+    """Full decision pipeline under ``Settings(**settings)``.
 
     Stages: the standard test; constraint collection (with its own
     witness short-circuit); feasible-vector enumeration; deletable-edge
     detection; assignment-pattern enumeration; coloring each candidate
     assignment.  When the pattern cap is hit and deletable edges exist,
     those edges are removed and the pipeline restarts on the reduced
-    problem (at most once per edge).  Any stage that cannot finish
-    downgrades the verdict to UNKNOWN with the partial findings kept.
-    mode "standard" runs only the first stage, "extended" skips it, and
-    "pipeline" runs them all.  The matching prune acts on the standard
-    stage only, so mode "extended" refuses it.  Both caps must be at
-    least 1.
+    problem with the same settings (at most once per edge).  Any stage
+    that cannot finish downgrades the verdict to UNKNOWN with the partial
+    findings kept in ``details``.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % ", ".join(MODES))
-    if min(pattern_cap, feasible_cap) < 1:
-        raise ValueError("the pattern and feasible caps must be at least 1")
-    if mode == "extended" and prune_matching:
-        raise ValueError("the matching prune applies only to the standard stage")
+    settings = Settings(**settings)
     details: dict = {}
-    knobs = dict(
-        heuristic=heuristic,
-        branch_limit=branch_limit,
-        pattern_cap=pattern_cap,
-        feasible_cap=feasible_cap,
-        prune_matching=prune_matching,
-        mode=mode,
-    )
-    ordering = order_vertices(p, heuristic)
+    status, certificate, reason = _run_stages(p, settings, details)
+    return Verdict(status, certificate, reason, details)
 
+
+def _run_stages(p: Problem, settings: Settings, details: dict):
+    """The stages of ``pipeline_decide``, filling ``details`` as they go;
+    returns (status, certificate, reason)."""
+    ordering = order_vertices(p, settings.heuristic)
     witness = None
     try:
-        if mode != "extended":
+        if settings.mode != "extended":
             witness, stats = standard_alon_tarsi(
-                p, ordering, branch_limit, prune_matching
+                p, ordering, settings.branch_limit, settings.prune_matching
             )
             details["standard_stats"] = _stats_json(stats)
-        if witness is None and mode != "standard":
-            basis, witness, stats = collect_constraints(p, ordering, branch_limit)
+        if witness is None and settings.mode != "standard":
+            basis, witness, stats = collect_constraints(p, ordering, settings.branch_limit)
             details["extended_stats"] = _stats_json(stats)
     except CoefficientOverflow as exc:
         details["overflow"] = str(exc)
-        return Verdict(UNKNOWN, reason="Overflow", details=details)
+        return UNKNOWN, None, "Overflow"
 
     if witness is not None:
         f, coeff = witness
-        return Verdict(
-            CHOOSABLE,
-            {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff},
-            details=details,
-        )
-    if mode == "standard":
-        return Verdict(UNKNOWN, reason="NoWitness", details=details)
+        cert = {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff}
+        return CHOOSABLE, cert, None
+    if settings.mode == "standard":
+        return UNKNOWN, None, "NoWitness"
 
     details["constraint_rank"] = basis.rank
     details["constraint_rows_offered"] = basis.offered
     if basis.rank == 0:
-        return Verdict(UNKNOWN, reason="NoConstraints", details=details)
+        return UNKNOWN, None, "NoConstraints"
 
     try:
-        vectors = enumerate_feasible_vectors(basis, p.n, feasible_cap)
+        vectors = enumerate_feasible_vectors(basis, p.n, settings.feasible_cap)
     except FeasibleSearchTooLarge:
-        return Verdict(UNKNOWN, reason="FeasibleSearchTooLarge", details=details)
+        return UNKNOWN, None, "FeasibleSearchTooLarge"
     nonzero = [chi for chi in vectors if any(chi)]
     details["feasible_vectors"] = len(vectors)
     if not nonzero:
-        return Verdict(
-            CHOOSABLE,
-            {"kind": "NoFeasibleVectors", "rank": basis.rank},
-            details=details,
-        )
+        return CHOOSABLE, {"kind": "NoFeasibleVectors", "rank": basis.rank}, None
 
     deletable = find_deletable_edges(nonzero, p)
     details["deletable_edges"] = [list(e) for e in deletable]
 
+    # With n + 1 >= deg(v) + 2 colors or more, v is never truncated or
+    # marked in the product, so the rows hold for any list that long, and
+    # v can always be colored last.  So longer lists are searched at that
+    # length, and a bad pattern gets the rest of each as colors of its own.
+    sizes = [min(x, p.n + 1) for x in p.s]
     try:
-        patterns = enumerate_assignment_patterns(nonzero, p.s, pattern_cap)
+        patterns = enumerate_assignment_patterns(nonzero, sizes, settings.pattern_cap)
     except PatternCapExceeded:
         if not deletable:
-            return Verdict(UNKNOWN, reason="TooManyPatterns", details=details)
-        return _decide_without_edges(p, deletable, details, knobs)
+            return UNKNOWN, None, "TooManyPatterns"
+        return _decide_without_edges(p, deletable, settings, details)
     details["pattern_count"] = len(patterns)
     if not patterns:
-        return Verdict(CHOOSABLE, {"kind": "NoComposition"}, details=details)
+        return CHOOSABLE, {"kind": "NoComposition"}, None
     for pattern in patterns:
         if oracle.color_from_pattern(p, pattern) is None:
-            return _bad_assignment(pattern, details)
-    return Verdict(
-        CHOOSABLE,
-        {"kind": "AllPatternsColorable", "count": len(patterns)},
-        details=details,
-    )
+            pattern += tuple(
+                (tuple(int(u == v) for u in range(p.n)), x - k)
+                for v, (x, k) in enumerate(zip(p.s, sizes))
+                if x > k
+            )
+            cert = {"kind": "BadAssignment", "pattern": _pattern_json(pattern)}
+            return NOT_CHOOSABLE, cert, None
+    return CHOOSABLE, {"kind": "AllPatternsColorable", "count": len(patterns)}, None
 
 
-def _bad_assignment(pattern, details) -> Verdict:
-    return Verdict(
-        NOT_CHOOSABLE,
-        {"kind": "BadAssignment", "pattern": _pattern_json(pattern)},
-        details=details,
-    )
-
-
-def _decide_without_edges(p: Problem, deletable, details, knobs) -> Verdict:
+def _decide_without_edges(p: Problem, deletable, settings: Settings, details):
     """Decide p with its never-shared edges deleted.
 
     Sound in both directions: a bad assignment for the subgraph stays bad
     for p (it is still checked on p), and colorability transfers back.
     """
     edges = [list(e) for e in deletable]
-    inner = pipeline_decide(p.without_edges(deletable), **knobs)
+    inner = pipeline_decide(p.without_edges(deletable), **vars(settings))
     details["deleted_edges"] = edges
     details["inner"] = {
         "status": inner.status,
@@ -466,18 +466,13 @@ def _decide_without_edges(p: Problem, deletable, details, knobs) -> Verdict:
         "details": inner.details,
     }
     if inner.status == CHOOSABLE:
-        return Verdict(
-            CHOOSABLE,
-            {"kind": "EdgeDeletion", "edges": edges, "inner": inner.certificate},
-            details=details,
-        )
+        cert = {"kind": "EdgeDeletion", "edges": edges, "inner": inner.certificate}
+        return CHOOSABLE, cert, None
     if inner.status == NOT_CHOOSABLE:
         pattern = tuple(
             (tuple(entry["vector"]), entry["multiplicity"])
             for entry in inner.certificate["pattern"]
         )
         if oracle.color_from_pattern(p, pattern) is None:
-            return _bad_assignment(pattern, details)
-    return Verdict(
-        UNKNOWN, reason=inner.reason or "UnverifiedTransfer", details=details
-    )
+            return NOT_CHOOSABLE, inner.certificate, None
+    return UNKNOWN, None, inner.reason or "UnverifiedTransfer"

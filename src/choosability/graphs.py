@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 
@@ -296,19 +297,20 @@ def generate_family(family: str, *params: int) -> Problem:
     {i, i+n}, list size 3 everywhere.
     """
     label = "%s(%s)" % (family, ",".join(str(x) for x in params))
-    if family == "glued-cliques":
-        a, b = params
-        return _glued_cliques(a, b, False, label)
-    if family == "glued-cliques-minus-edge":
-        a, b = params
-        return _glued_cliques(a, b, True, label)
-    if family == "grid-diag":
-        (a,) = params
-        return _grid_diag(a, label)
-    if family == "cycle-triangles":
-        (n,) = params
-        return _cycle_triangles(n, label)
-    raise ProblemFormatError("unknown family %r" % family)
+    builders = {
+        "glued-cliques": lambda a, b: _glued_cliques(a, b, False, label),
+        "glued-cliques-minus-edge": lambda a, b: _glued_cliques(a, b, True, label),
+        "grid-diag": lambda a: _grid_diag(a, label),
+        "cycle-triangles": lambda n: _cycle_triangles(n, label),
+    }
+    if family not in builders:
+        raise ProblemFormatError("unknown family %r" % family)
+    names = list(inspect.signature(builders[family]).parameters)
+    if len(params) != len(names):
+        raise ProblemFormatError(
+            "%s needs the parameters (%s); got %d" % (family, ", ".join(names), len(params))
+        )
+    return builders[family](*params)
 
 
 FAMILIES = ("glued-cliques", "glued-cliques-minus-edge", "grid-diag", "cycle-triangles")

@@ -8,6 +8,8 @@ renaming.  Intended for small instances and for validating the fast path.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .graphs import Problem
@@ -25,11 +27,14 @@ def direct_coefficient(p: Problem, f) -> int:
     every remaining incident edge).  Each factor is (x_max - x_min), so an
     edge directed out of its lower endpoint picks the negated variable:
     the sign of an orientation is -1 to the number of edges directed from
-    lower to higher endpoint.
+    lower to higher endpoint.  The search recurses once per edge, so past
+    half the recursion limit in edges it raises OracleLimitError.
     """
     f = list(f)
     if len(f) != p.n:
         raise ValueError("degree vector has wrong length")
+    if p.m > sys.getrecursionlimit() // 2:
+        raise OracleLimitError("%d edges: past half the recursion limit" % p.m)
     if any(x < 0 for x in f) or sum(f) != p.m:
         return 0
     need = f[:]
@@ -168,16 +173,25 @@ def color_from_pattern(p: Problem, pattern):
     The pattern is a sequence of (vector, multiplicity) pairs; it yields
     one abstract color per unit of multiplicity, present on vertex v when
     vector[v] is 1.  Returns a per-vertex color index list or None.
+
+    A vertex with more colors than neighbours can always be colored last,
+    so the search leaves out a vector's units past one more than the
+    largest degree on its support: that keeps the answer, and a huge
+    multiplicity costs no more than a small one.
     """
+    degrees = p.degrees()
     lists = [0] * p.n
+    units = []  # the pattern's index of each color the search sees
     t = 0
     for vec, mult in pattern:
-        for _ in range(int(mult)):
-            for v in range(p.n):
-                if vec[v]:
-                    lists[v] |= 1 << t
-            t += 1
-    return _color_lists(p.n, p.adjacency(), lists)
+        support = [v for v in range(p.n) if vec[v]]
+        kept = min(int(mult), 1 + max((degrees[v] for v in support), default=-1))
+        for v in support:
+            lists[v] |= ((1 << kept) - 1) << len(units)
+        units.extend(range(t, t + kept))
+        t += int(mult)
+    coloring = _color_lists(p.n, p.adjacency(), lists)
+    return None if coloring is None else [units[c] for c in coloring]
 
 
 def _color_lists(n, adj, lists):

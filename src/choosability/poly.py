@@ -15,7 +15,8 @@ truncates: any degree reaching s(v), beyond the single marked coordinate,
 drops the term.  ``run_truncated_product`` multiplies edges in per-vertex
 turns.  When the live term count exceeds the branch limit, it cuts the list
 between runs of equal degrees on the already-processed vertices (prefixes)
-and recurses on each part, from the lexicographically largest prefix down.
+and runs the parts depth first, from the lexicographically largest prefix
+down.
 The first part is the largest prefix alone; each later part takes whole
 adjacent prefixes until it holds at least 2, 4, 8, ... terms, capped at the
 branch limit, so a list of thousands of tiny prefixes makes a few dozen
@@ -260,51 +261,51 @@ def run_truncated_product(
         far = sorted((w for w in adj[v] if position[w] > i), key=lambda w: position[w])
         plan.append([(v, w) for w in far])
     multiply = multiply_edge_standard if mode == "standard" else multiply_edge_extended
-    stats = RunStats()
+    stats = RunStats(branches=0)
     n = problem.n
 
     prune = prune_matching and mode == "standard"
-    hakimi = {}
+    hakimi = {}  # the turns' Hakimi sets, None where a turn skips the prune
 
-    def prune_sets(i):
-        """The turn's Hakimi sets, or None when the turn skips the prune."""
-        if prune and i not in hakimi:
-            hakimi[i] = _turn_sets(problem, position, i)
-        return hakimi.get(i)
-
-    def run_segment(terms: TermList, start: int) -> bool:
-        for i in range(start, n):
+    # (part, position of its next turn); a split pushes its parts smallest
+    # prefix first, so the largest runs next.  A part counts as a branch
+    # when it is popped, so a run the sink stops counts the parts it began.
+    # The turns are inline so that no name holds a list once its product
+    # with the next edge exists.
+    stack = [(TermList.unit(layout), 0)]
+    while stack:
+        terms, i = stack.pop()
+        stats.branches += 1
+        while i < n and len(terms):
             for u, w in plan[i]:
                 terms = multiply(terms, u, w, layout)
                 stats.record(len(terms))
                 if len(terms) == 0:
-                    return False
-            sets = prune_sets(i)
-            if sets is not None:
-                terms = _prune_unreachable(layout, terms, sets)
-                if len(terms) == 0:
-                    return False
-            if branch_limit is not None and len(terms) > branch_limit and i < n - 1:
-                masked = terms.keys & layout.prefix_masks[i]
+                    break
+            else:
+                if prune and i not in hakimi:
+                    hakimi[i] = _turn_sets(problem, position, i)
+                if hakimi.get(i) is not None:
+                    terms = _prune_unreachable(layout, terms, hakimi[i])
+            i += 1
+            if branch_limit is not None and len(terms) > branch_limit and i < n:
+                masked = terms.keys & layout.prefix_masks[i - 1]
                 change = np.any(masked[1:] != masked[:-1], axis=1)
                 bounds = np.concatenate(([0], np.flatnonzero(change) + 1))
+                parts = []
                 b, need = len(terms), 1
                 while b > 0:
                     # the fewest whole prefixes ending at b that hold >= need terms
                     k = np.searchsorted(bounds, b - need, "right") - 1
                     a = int(bounds[max(k, 0)])
-                    stats.branches += 1
-                    part = TermList(terms.keys[a:b], terms.coeffs[a:b])
-                    if run_segment(part, i + 1):
-                        return True
+                    parts.append((TermList(terms.keys[a:b], terms.coeffs[a:b]), i))
                     b, need = a, min(2 * need, branch_limit)
-                return False
-        if sink is None:
-            return False
-        return bool(sink(layout, terms))
-
-    stopped = run_segment(TermList.unit(layout), 0)
-    return (OUTCOME_ABORTED if stopped else OUTCOME_COMPLETED), stats
+                stack += reversed(parts)
+                break
+        else:
+            if len(terms) and sink is not None and sink(layout, terms):
+                return OUTCOME_ABORTED, stats
+    return OUTCOME_COMPLETED, stats
 
 
 # Turns whose remaining graph has more vertices than this skip the prune:
@@ -317,9 +318,9 @@ _HAKIMI_BLOCK = 1 << 21
 
 def subset_sums(values):
     """The sum of values[j] over the bits j of each mask, indexed by mask."""
-    sums = np.zeros(1, dtype=values.dtype)
-    for value in values:
-        sums = np.concatenate((sums, sums + value))
+    sums = np.zeros(1 << len(values), dtype=values.dtype)
+    for j, value in enumerate(values):
+        np.add(sums[: 1 << j], value, out=sums[1 << j : 2 << j])
     return sums
 
 

@@ -4,10 +4,15 @@ Every test drives cli.main() in process and inspects captured output,
 pinning exit codes, the text report, the JSON report, and error paths.
 """
 
+import contextlib
 import io
+import itertools
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choosability import Problem, cli, pipeline_decide, poly
 from choosability.decide import MODES
@@ -306,6 +311,17 @@ def test_oracle_coefficient_wrong_arity_exits_3(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_oracle_coefficient_refuses_a_long_path(tmp_path, capsys):
+    m = 1500
+    p = Problem(n=m + 1, s=(2,) * (m + 1), edges=tuple((i, i + 1) for i in range(m)))
+    path = write_problem(tmp_path, p)
+    degrees = ["1"] * m + ["0"]
+    code, out, err = run_cli(capsys, ["oracle", "coefficient", path, *degrees])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "recursion limit" in err
+
+
 def test_oracle_table_single_edge(tmp_path, capsys):
     p = Problem(n=2, s=(2, 2), edges=((0, 1),), name="edge")
     path = write_problem(tmp_path, p)
@@ -411,6 +427,21 @@ def test_gen_bad_params_exits_3(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "family, params, named",
+    [
+        ("glued-cliques", ["2"], "(a, b)"),
+        ("grid-diag", ["2", "3"], "(a)"),
+        ("cycle-triangles", ["4", "1"], "(n)"),
+    ],
+)
+def test_gen_names_the_parameters_on_a_wrong_count(capsys, family, params, named):
+    code, out, err = run_cli(capsys, ["gen", family, *params])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and named in err and "got %d" % len(params) in err
+
+
 def test_gen_pipes_into_decide(monkeypatch, capsys):
     code, text, _ = run_cli(capsys, ["gen", "glued-cliques", "2", "3"])
     assert code == 0
@@ -421,3 +452,43 @@ def test_gen_pipes_into_decide(monkeypatch, capsys):
     verdict = pipeline_decide(generate_family("glued-cliques", 2, 3))
     assert report["verdict"] == verdict.status == "NOT_CHOOSABLE"
     assert report["certificate"] == verdict.certificate
+
+
+# malformed input
+
+@st.composite
+def mutated_problem_text(draw):
+    """A small problem's text with up to three tokens dropped, repeated or
+    replaced by a negative or huge number, or with lines added."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    s = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    text = format_problem(Problem(n=n, s=tuple(s), edges=tuple(edges)))
+    lines = [line.split() for line in text.splitlines()]
+    numbers = st.one_of(st.integers(-2, 9), st.integers(-(2**70), 2**70)).map(str)
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "repeat", "number", "line"]))
+        if kind == "line":
+            lines.insert(row, draw(st.lists(numbers, max_size=3)))
+        elif lines[row]:
+            col = draw(st.integers(0, len(lines[row]) - 1))
+            if kind == "drop":
+                del lines[row][col]
+            elif kind == "repeat":
+                lines[row].insert(col, lines[row][col])
+            else:
+                lines[row][col] = draw(numbers)
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+@given(mutated_problem_text())
+@settings(max_examples=150, deadline=None)
+def test_malformed_problems_end_in_an_exit_code(text):
+    for argv in (["decide"], ["coefficients"], ["oracle", "choosable"], ["bench"]):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([*argv, "-"])
+        assert code in (0, 1, 2, 3), (argv, text)

@@ -1,6 +1,7 @@
 """Constraint collection, feasible vectors, patterns, and the pipeline."""
 
 import itertools
+import random
 import time
 
 import numpy as np
@@ -35,6 +36,7 @@ from _examples import (
     complete,
     cycle,
     fan,
+    random_problem,
     wheel,
     wheel_extension,
 )
@@ -638,6 +640,34 @@ def test_pipeline_edge_deletion_restart_bad_assignment(monkeypatch):
     from choosability import color_from_pattern
 
     assert color_from_pattern(fan(), pattern) is None
+
+
+def test_pipeline_takes_lists_longer_than_n_at_length_n_plus_one():
+    from choosability import brute_force_choosable, color_from_pattern
+
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(60):
+        p = random_problem(rng, n_range=(2, 5), m_cap=8, s_range=(1, 3))
+        huge = rng.randrange(p.n)
+        p = Problem(p.n, p.s[:huge] + (2**40,) + p.s[huge + 1 :], p.edges)
+        verdict = pipeline_decide(p)
+        seen.add(verdict.status)
+        if verdict.status == UNKNOWN:
+            continue
+        # more colors than neighbours make no difference
+        degrees = p.degrees()
+        trimmed = Problem(p.n, tuple(min(x, d + 1) for x, d in zip(p.s, degrees)), p.edges)
+        assert (verdict.status == CHOOSABLE) == brute_force_choosable(trimmed)[0], p
+        if verdict.status == NOT_CHOOSABLE:
+            pattern = [
+                (tuple(entry["vector"]), entry["multiplicity"])
+                for entry in verdict.certificate["pattern"]
+            ]
+            cover = [sum(mult * vec[v] for vec, mult in pattern) for v in range(p.n)]
+            assert cover == list(p.s)
+            assert color_from_pattern(p, pattern) is None
+    assert {CHOOSABLE, NOT_CHOOSABLE} <= seen
 
 
 def test_pipeline_verdict_invariant_under_branch_limits():

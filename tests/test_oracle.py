@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -188,6 +189,30 @@ def test_brute_force_on_small_examples():
     bad_k3, k3_witness = brute_force_choosable(complete(3, 2))
     assert bad_k3 is False
     assert k3_witness == (((1, 1, 1), 2),)
+
+
+def path(m):
+    return Problem(n=m + 1, s=(2,) * (m + 1), edges=tuple((i, i + 1) for i in range(m)))
+
+
+def test_direct_coefficient_refuses_edges_past_half_the_recursion_limit():
+    bound = sys.getrecursionlimit() // 2
+    # a path orients out of every vertex but the last in exactly one way
+    assert abs(direct_coefficient(path(bound), (1,) * bound + (0,))) == 1
+    with pytest.raises(OracleLimitError, match="recursion limit"):
+        direct_coefficient(path(bound + 1), (1,) * (bound + 1) + (0,))
+
+
+def test_color_from_pattern_takes_huge_multiplicities():
+    # the isolated vertex 0 has 2^40 colors; 1 and 2 share their one color
+    p = Problem(n=3, s=(2**40, 1, 1), edges=((1, 2),))
+    assert color_from_pattern(p, [((1, 1, 1), 1), ((1, 0, 0), 2**40 - 1)]) is None
+    coloring = color_from_pattern(p, [((1, 1, 0), 1), ((1, 0, 1), 2**40 - 1)])
+    assert coloring[1] == 0 and coloring[2] >= 1
+    # a color index names the pattern's unit, however many are left out
+    star = Problem(n=3, s=(3, 1, 1), edges=((0, 1), (0, 2)))
+    coloring = color_from_pattern(star, [((0, 1, 1), 1), ((1, 0, 0), 9)])
+    assert coloring[1] == coloring[2] == 0 and 1 <= coloring[0] <= 9
 
 
 def test_brute_force_refuses_large_inputs():

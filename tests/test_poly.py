@@ -1,7 +1,9 @@
 """Packed layouts, edge multiplication, and the sequentialized driver."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -449,6 +451,24 @@ def test_stats_track_branches_and_totals():
     assert sorted(sink_many.terms) == sorted(sink_one.terms)
     assert stats_split.total_monomials >= len(sink_many.terms)
     assert stats_unsplit.peak_terms >= len(sink_one.terms)
+
+
+@pytest.fixture
+def shallow_stack():
+    """A recursion limit 100 frames above the caller's depth."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_deep_splits_do_not_recurse(shallow_stack):
+    # at branch limit 1 a 2-choosable even cycle splits after every turn
+    p = cycle(300)
+    verdict = pipeline_decide(p, branch_limit=1)
+    assert verdict.status == "CHOOSABLE"
+    # one part per split, as the first part of each holds a witness
+    assert verdict.details["standard_stats"]["branches"] == p.n - 1
 
 
 def test_branch_counts_differ_but_outcome_is_stable():
