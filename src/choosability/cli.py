@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -80,7 +81,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call shares it."""
     ap = _Parser(
         prog="choosability",
         description="Decide list-colorability and choosability of small "

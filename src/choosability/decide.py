@@ -253,67 +253,89 @@ def collect_constraints(
 def enumerate_feasible_vectors(
     basis: ConstraintBasis, n: int, cap: int = DEFAULT_FEASIBLE_CAP
 ):
-    """All chi in {0,1}^n satisfying every retained row exactly, in
-    ascending order of the mask with bit v set when chi(v) = 1.
+    """All chi in {0,1}^n satisfying every retained row exactly, as the
+    int64 array of their masks (bit v set when chi(v) = 1), ascending.
 
     Each row's residues mod p are summed over all 2^n masks at once, and
     a mask is kept when every sum vanishes mod p.  Residues are below
     p < 2^31, so the sums are exact in int64.  A row whose absolute
     values sum below p cannot wrap, so a zero residue is already an
     exact zero; the kept masks are rechecked exactly against the other
-    rows.  Raises FeasibleSearchTooLarge when n exceeds the cap.
+    rows.  Raises FeasibleSearchTooLarge when n exceeds the cap or the
+    2^n arrays cannot be allocated.
     """
     if n > cap:
         raise FeasibleSearchTooLarge("n=%d exceeds the cap %d" % (n, cap))
-    keep = np.ones(1 << n, dtype=bool)
+    try:
+        keep = np.ones(1 << n, dtype=bool)
+        for cr in basis.rows:
+            sums = subset_sums(np.array([x % P_FIELD for x in cr.row], dtype=np.int64))
+            keep &= np.remainder(sums, P_FIELD, out=sums) == 0
+            del sums  # freed before the next row's sums are built
+        masks = np.flatnonzero(keep).astype(np.int64, copy=False)
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError past its largest array dimension
+        raise FeasibleSearchTooLarge("2^%d masks: %s" % (n, exc)) from exc
     for cr in basis.rows:
-        sums = subset_sums(np.array([x % P_FIELD for x in cr.row], dtype=np.int64))
-        keep &= np.remainder(sums, P_FIELD, out=sums) == 0
-        del sums  # freed before the next row's sums are built
-    wide = [cr.row for cr in basis.rows if sum(map(abs, cr.row)) >= P_FIELD]
-    out = []
-    for mask in np.flatnonzero(keep).tolist():
-        chi = tuple((mask >> v) & 1 for v in range(n))
-        if all(sum(r * c for r, c in zip(row, chi)) == 0 for row in wide):
-            out.append(chi)
-    return out
+        if sum(map(abs, cr.row)) >= P_FIELD:
+            exact = [
+                sum(r for v, r in enumerate(cr.row) if mask >> v & 1) == 0
+                for mask in masks.tolist()
+            ]
+            masks = masks[np.array(exact, dtype=bool)]
+    return masks
 
 
-def find_deletable_edges(vectors, p: Problem):
-    """Edges whose endpoints are never both covered by a feasible vector."""
+def find_deletable_edges(masks, p: Problem):
+    """Edges whose endpoints are never both in a feasible vector's mask."""
+    masks = np.asarray(masks, dtype=np.int64)
     out = []
     for u, v in p.edges:
-        if not any(chi[u] and chi[v] for chi in vectors):
+        both = (1 << u) | (1 << v)
+        if not np.any((masks & both) == both):
             out.append((u, v))
     return out
 
 
-def enumerate_assignment_patterns(vectors, s, cap: int = DEFAULT_PATTERN_CAP):
-    """Multisets of nonzero vectors with componentwise sum equal to s.
+def _candidate_order(masks, n: int):
+    """The distinct nonzero masks, densest first, then the largest
+    vector read with vertex 0 as its most significant digit."""
+    masks = np.sort(np.asarray(masks, dtype=np.int64))
+    keep = masks != 0
+    keep[1:] &= masks[1:] != masks[:-1]
+    masks = masks[keep]
+    reversed_bits = np.zeros_like(masks)
+    for v in range(n):
+        reversed_bits |= (masks >> v & 1) << (n - 1 - v)
+    order = np.lexsort((reversed_bits, np.bitwise_count(masks)))
+    return masks[order[::-1]]
+
+
+def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP):
+    """Multisets of nonzero feasible vectors, given by their masks, with
+    componentwise sum equal to s; each pattern lists (0/1 tuple,
+    multiplicity) pairs.
 
     Vectors are scanned densest first with multiplicities counted down, so
     the output order is deterministic.  Raises PatternCapExceeded as soon
     as more than cap patterns exist.
 
-    Each vector is a bitmask over the vertices, ``pos`` is the mask of
-    vertices whose residual is still positive and ``suffix[i]`` the union
-    of the masks from i on.  A node walks the candidates from its start:
-    it stops once ``pos`` leaves ``suffix[i]`` (nothing left can cover
-    some vertex), passes over a mask that meets a finished vertex (0 is
-    its only multiplicity), and otherwise tries the multiplicities from
-    the largest down to 1.  Multiplicity 0 is the next loop step, so the
-    recursion is only as deep as the number of vectors chosen, at most
-    sum(s).
+    ``pos`` is the mask of vertices whose residual is still positive and
+    ``suffix[i]`` the union of the masks from i on.  A node walks the
+    candidates from its start: it stops once ``pos`` leaves ``suffix[i]``
+    (nothing left can cover some vertex), passes over a mask that meets a
+    finished vertex (0 is its only multiplicity), and otherwise tries the
+    multiplicities from the largest down to 1.  Multiplicity 0 is the next
+    loop step, so the recursion is only as deep as the number of vectors
+    chosen, at most sum(s).  Supports and tuples are built only for the
+    candidates a node tries.
     """
-    cand = sorted(
-        {tuple(v) for v in vectors if any(v)},
-        key=lambda vec: (-sum(vec), tuple(-x for x in vec)),
-    )
-    supports = [[v for v, x in enumerate(vec) if x] for vec in cand]
-    masks = [sum(1 << v for v in sup) for sup in supports]
-    suffix = masks + [0]
-    for i in range(len(cand) - 1, -1, -1):
-        suffix[i] |= suffix[i + 1]
+    n = len(s)
+    cand = _candidate_order(masks, n)
+    suffix = np.bitwise_or.accumulate(cand[::-1])[::-1].tolist() + [0]
+    cand = cand.tolist()
+    # (support, 0/1 tuple) of each candidate, built when first tried
+    tried = [None] * len(cand)
     residual = list(s)
     chosen = []
     found = []
@@ -327,20 +349,26 @@ def enumerate_assignment_patterns(vectors, s, cap: int = DEFAULT_PATTERN_CAP):
         for i in range(start, len(cand)):
             if pos & ~suffix[i]:
                 return
-            if masks[i] & ~pos:
+            mask = cand[i]
+            if mask & ~pos:
                 continue
-            sup = supports[i]
+            if tried[i] is None:
+                tried[i] = (
+                    [v for v in range(n) if mask >> v & 1],
+                    tuple(mask >> v & 1 for v in range(n)),
+                )
+            sup, vec = tried[i]
             top = min(residual[v] for v in sup)
             for v in sup:
                 residual[v] -= top
             # only the largest multiplicity finishes a vertex
             done = sum(1 << v for v in sup if residual[v] == 0)
-            chosen.append((cand[i], top))
+            chosen.append((vec, top))
             search(i + 1, pos & ~done)
             for mult in range(top - 1, 0, -1):
                 for v in sup:
                     residual[v] += 1
-                chosen[-1] = (cand[i], mult)
+                chosen[-1] = (vec, mult)
                 search(i + 1, pos)
             chosen.pop()
             for v in sup:
@@ -413,12 +441,12 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
         return UNKNOWN, None, "NoConstraints"
 
     try:
-        vectors = enumerate_feasible_vectors(basis, p.n, settings.feasible_cap)
+        masks = enumerate_feasible_vectors(basis, p.n, settings.feasible_cap)
     except FeasibleSearchTooLarge:
         return UNKNOWN, None, "FeasibleSearchTooLarge"
-    nonzero = [chi for chi in vectors if any(chi)]
-    details["feasible_vectors"] = len(vectors)
-    if not nonzero:
+    nonzero = masks[masks != 0]
+    details["feasible_vectors"] = len(masks)
+    if not len(nonzero):
         return CHOOSABLE, {"kind": "NoFeasibleVectors", "rank": basis.rank}, None
 
     deletable = find_deletable_edges(nonzero, p)

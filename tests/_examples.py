@@ -45,6 +45,16 @@ def wheel_extension():
     return Problem(n=8, s=(5, 3, 3, 3, 2, 2, 2, 2), edges=edges, name="wheel-ext")
 
 
+def as_masks(vectors):
+    """The masks of 0/1 vectors, bit v set when vec[v] = 1."""
+    return [sum(x << v for v, x in enumerate(vec)) for vec in vectors]
+
+
+def as_vectors(masks, n):
+    """The 0/1 vectors of length n of masks, in their order."""
+    return [tuple(int(mask) >> v & 1 for v in range(n)) for mask in masks]
+
+
 def random_problem(rng, n_range=(4, 8), m_cap=14, s_range=(2, 4), name=""):
     n = rng.randint(*n_range)
     max_m = min(m_cap, n * (n - 1) // 2)

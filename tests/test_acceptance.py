@@ -29,6 +29,8 @@ from choosability.poly import run_truncated_product, unpack_terms
 
 from _examples import (
     agreement_corpus,
+    as_masks,
+    as_vectors,
     coefficient_corpus,
     complete,
     cycle,
@@ -85,7 +87,7 @@ def _dump_terms(p, heuristic="MD+PROC", mode="standard", branch_limit=None):
 def _engine_feasible_set(p):
     basis, witness, _ = collect_constraints(p)
     assert witness is None
-    return basis, set(enumerate_feasible_vectors(basis, p.n))
+    return basis, set(as_vectors(enumerate_feasible_vectors(basis, p.n), p.n))
 
 
 def _derived_feasible_set(p, table):
@@ -191,7 +193,7 @@ def test_criterion_04_fan():
         (1, 0, 0, 1, 1),
     }
     nonzero = sorted(feasible - {(0,) * p.n})
-    patterns = enumerate_assignment_patterns(nonzero, p.s)
+    patterns = enumerate_assignment_patterns(as_masks(nonzero), p.s)
     assert patterns == [(((1, 1, 1, 0, 0), 2), ((1, 0, 0, 1, 1), 2))]
     verdict = pipeline_decide(p)
     assert verdict.status == "NOT_CHOOSABLE"
@@ -211,7 +213,7 @@ def test_criterion_05_wheel():
     assert feasible == derived
     nonzero = sorted(derived - {(0,) * p.n})
     assert set(nonzero) == {(1, 1, 1, 1, 0, 0), (1, 0, 0, 0, 1, 1)}
-    patterns = enumerate_assignment_patterns(nonzero, p.s)
+    patterns = enumerate_assignment_patterns(as_masks(nonzero), p.s)
     assert len(patterns) == 1
     assert {vec for vec, _ in patterns[0]} == set(nonzero)
     verdict = pipeline_decide(p)

@@ -14,6 +14,8 @@ import pytest
 import choosability
 from choosability import generate_family, order_vertices, poly
 
+from _examples import fan
+
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -75,3 +77,23 @@ def test_traced_runs_reach_the_kernel_hooks(spans):
     assert counts["kernels.calls"] > 0 and counts["kernels.bytes_computed"] > 0
     assert counts["poly.monomials"] > 0
     assert {"kernels", "poly.product", "decide.pipeline"} <= set(self_s)
+
+
+def test_traced_decide_counts_feasible_vectors_and_patterns(spans):
+    # fan() reaches the scan and the pattern search; the tracer reads their
+    # counts off the arguments and results, so a changed signature or
+    # return type must fail here rather than zero the counters
+    p = fan()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        verdict = choosability.pipeline_decide(p)
+    finally:
+        tracer.uninstall()
+    self_s, counts = tracer.take()
+    assert verdict.status == "NOT_CHOOSABLE"
+    assert verdict.details["feasible_vectors"] == 3
+    assert counts["decide.feasible_found"] == verdict.details["feasible_vectors"]
+    assert counts["decide.feasible_scanned"] == 1 << p.n
+    assert counts["decide.patterns"] == verdict.details["pattern_count"] == 1
+    assert {"decide.feasible", "decide.patterns"} <= set(self_s)

@@ -161,6 +161,18 @@ def test_decide_feasible_cap_flag(tmp_path, capsys):
     assert "reason: FeasibleSearchTooLarge" in out
 
 
+def test_decide_feasible_scan_too_large_to_allocate_is_unknown(tmp_path, capsys):
+    # 2^49 bytes exceed the x86-64 user address space, so the scan's first
+    # array fails to allocate at once and touches no memory
+    path = write_problem(tmp_path, cycle(49))
+    code, out, err = run_cli(capsys, ["decide", path, "--feasible-cap", "60", "--json"])
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["verdict"] == "UNKNOWN"
+    assert report["reason"] == "FeasibleSearchTooLarge"
+    assert report["details"]["constraint_rank"] == 48
+
+
 @pytest.mark.parametrize("flag", ["--pattern-cap", "--feasible-cap"])
 def test_decide_cap_below_one_exits_3(tmp_path, capsys, flag):
     path = write_problem(tmp_path, cycle(5))
@@ -226,6 +238,36 @@ def test_usage_error_exits_3(capsys):
         cli.main(["decide", "x.prob", "--heuristic", "NOPE"])
     assert exc.value.code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _outcome(argv):
+    """stdout, stderr and exit code of one in-process call; --help and
+    usage errors exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, monkeypatch):
+    path = write_problem(tmp_path, fan())
+    calls = [
+        ["decide", path],
+        ["decide", path, "--heuristic", "NOPE"],
+        ["--help"],
+        ["oracle", "choosable", path],
+        ["coefficients", path, "--json"],
+        ["gen", "glued-cliques", "2", "3"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    shared = [_outcome(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(argv) for argv in calls]
+    assert shared == fresh
+    assert [code for _, _, code in shared] == [1, 3, 0, 1, 0, 0]
 
 
 # coefficients

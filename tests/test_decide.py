@@ -32,6 +32,8 @@ from choosability.poly import iter_terms, run_truncated_product
 
 from _examples import (
     agreement_corpus,
+    as_masks,
+    as_vectors,
     coefficient_corpus,
     complete,
     cycle,
@@ -45,7 +47,7 @@ from _examples import (
 def feasible_set(p):
     basis, witness, _ = collect_constraints(p)
     assert witness is None
-    return basis, set(enumerate_feasible_vectors(basis, p.n))
+    return basis, set(as_vectors(enumerate_feasible_vectors(basis, p.n), p.n))
 
 
 # ------------------------------------------------------------- the basis
@@ -223,7 +225,7 @@ def test_fan_feasible_vectors_and_deletable_edge():
         (1, 0, 0, 1, 1),
     }
     nonzero = [chi for chi in feasible if any(chi)]
-    assert find_deletable_edges(nonzero, p) == [(2, 3)]
+    assert find_deletable_edges(as_masks(nonzero), p) == [(2, 3)]
 
 
 def test_wheel_feasible_vectors_and_deletable_edges():
@@ -234,17 +236,29 @@ def test_wheel_feasible_vectors_and_deletable_edges():
         (1, 0, 0, 0, 1, 1),
     }
     nonzero = [chi for chi in feasible if any(chi)]
-    assert set(find_deletable_edges(nonzero, p)) == {(1, 5), (3, 4)}
+    assert set(find_deletable_edges(as_masks(nonzero), p)) == {(1, 5), (3, 4)}
 
 
 def test_no_deletable_edges_on_odd_cycle():
     p = cycle(5)
-    assert find_deletable_edges([(1, 1, 1, 1, 1)], p) == []
+    assert find_deletable_edges(as_masks([(1, 1, 1, 1, 1)]), p) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=small_problems(), data=st.data())
+def test_deletable_edges_match_the_tuple_definition(p, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << p.n) - 1), max_size=40))
+    vectors = as_vectors(masks, p.n)
+    expected = [
+        (u, v) for u, v in p.edges if not any(chi[u] and chi[v] for chi in vectors)
+    ]
+    assert find_deletable_edges(masks, p) == expected
+    assert find_deletable_edges(np.array(masks, dtype=np.int64), p) == expected
 
 
 def test_feasible_enumeration_without_rows_is_everything():
     basis = ConstraintBasis(2)
-    assert set(enumerate_feasible_vectors(basis, 2)) == {
+    assert set(as_vectors(enumerate_feasible_vectors(basis, 2), 2)) == {
         (0, 0), (0, 1), (1, 0), (1, 1)
     }
 
@@ -254,17 +268,25 @@ def test_feasible_enumeration_rejects_large_n():
         enumerate_feasible_vectors(ConstraintBasis(30), 30, cap=25)
 
 
+@pytest.mark.parametrize("n", [48, 64])
+def test_feasible_enumeration_refuses_arrays_it_cannot_allocate(n):
+    # 2^48 bytes exceed the x86-64 user address space; 2^64 entries exceed
+    # numpy's largest dimension.  Neither touches any memory.
+    with pytest.raises(FeasibleSearchTooLarge):
+        enumerate_feasible_vectors(ConstraintBasis(n), n, cap=n)
+
+
 def test_feasible_enumeration_handles_huge_coefficients():
     basis = ConstraintBasis(2)
     basis.add((0, 0), (2**61, -(2**61)))
-    assert set(enumerate_feasible_vectors(basis, 2)) == {(0, 0), (1, 1)}
+    assert set(as_vectors(enumerate_feasible_vectors(basis, 2), 2)) == {(0, 0), (1, 1)}
 
 
 def test_full_rank_basis_leaves_only_zero():
     basis = ConstraintBasis(2)
     basis.add((0, 0), (1, 0))
     basis.add((0, 0), (0, 1))
-    assert enumerate_feasible_vectors(basis, 2) == [(0, 0)]
+    assert as_vectors(enumerate_feasible_vectors(basis, 2), 2) == [(0, 0)]
 
 
 P = decide_module.P_FIELD
@@ -282,7 +304,7 @@ P = decide_module.P_FIELD
 def test_feasible_enumeration_rechecks_rows_that_vanish_mod_p(row):
     basis = ConstraintBasis(2)
     assert basis.add((0, 0), row)
-    assert enumerate_feasible_vectors(basis, 2) == [(0, 0)]
+    assert as_vectors(enumerate_feasible_vectors(basis, 2), 2) == [(0, 0)]
 
 
 ENTRIES = st.one_of(
@@ -312,14 +334,16 @@ def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
     n, basis = case
     every = (tuple((mask >> v) & 1 for v in range(n)) for mask in range(1 << n))
     expected = [chi for chi in every if basis.satisfied_by(chi)]
-    assert enumerate_feasible_vectors(basis, n) == expected
+    masks = enumerate_feasible_vectors(basis, n)
+    assert masks.dtype == np.int64
+    assert as_vectors(masks, n) == expected
 
 
 # ------------------------------------------------------------- patterns
 
 def test_fan_pattern_is_unique():
     patterns = enumerate_assignment_patterns(
-        [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)], (4, 2, 2, 2, 2)
+        as_masks([(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)]), (4, 2, 2, 2, 2)
     )
     assert patterns == [
         (((1, 1, 1, 0, 0), 2), ((1, 0, 0, 1, 1), 2)),
@@ -328,7 +352,7 @@ def test_fan_pattern_is_unique():
 
 def test_wheel_pattern_is_unique():
     patterns = enumerate_assignment_patterns(
-        [(1, 1, 1, 1, 0, 0), (1, 0, 0, 0, 1, 1)], (5, 2, 2, 2, 3, 3)
+        as_masks([(1, 1, 1, 1, 0, 0), (1, 0, 0, 0, 1, 1)]), (5, 2, 2, 2, 3, 3)
     )
     assert patterns == [
         (((1, 1, 1, 1, 0, 0), 2), ((1, 0, 0, 0, 1, 1), 3)),
@@ -337,15 +361,15 @@ def test_wheel_pattern_is_unique():
 
 def test_no_composition_when_sizes_cannot_be_met():
     patterns = enumerate_assignment_patterns(
-        [(1, 1, 1, 1, 0, 0, 1, 1)], (5, 3, 3, 3, 2, 2, 2, 2)
+        as_masks([(1, 1, 1, 1, 0, 0, 1, 1)]), (5, 3, 3, 3, 2, 2, 2, 2)
     )
     assert patterns == []
 
 
 def test_pattern_cap_is_enforced():
-    vectors = [
+    vectors = as_masks(
         chi for chi in itertools.product((0, 1), repeat=3) if any(chi)
-    ]
+    )
     with pytest.raises(PatternCapExceeded):
         enumerate_assignment_patterns(vectors, (2, 2, 2), cap=1)
     many = enumerate_assignment_patterns(vectors, (2, 2, 2), cap=100)
@@ -353,41 +377,45 @@ def test_pattern_cap_is_enforced():
 
 
 def _reference_patterns(vectors, s, cap=100):
-    """The pattern search before skip-ahead: one call per candidate
-    vector and multiplicity, a full coverage rescan at every node."""
+    """The pattern search on 0/1 tuples, written plainly: candidates
+    sorted by tuple, the vertices still to fill kept as a set, and a
+    node that skips candidate i takes every candidate before it 0
+    times."""
     n = len(s)
     cand = sorted(
         {tuple(v) for v in vectors if any(v)},
         key=lambda vec: (-sum(vec), tuple(-x for x in vec)),
     )
+    supports = [[v for v in range(n) if vec[v]] for vec in cand]
+    # covers[i]: the vertices some vector from cand[i] on marks
+    covers = [set() for _ in range(len(cand) + 1)]
+    for i in range(len(cand) - 1, -1, -1):
+        covers[i] = covers[i + 1].union(supports[i])
     residual = list(s)
     chosen = []
     found = []
 
-    def coverable(start):
-        for v in range(n):
-            if residual[v] and not any(cand[i][v] for i in range(start, len(cand))):
-                return False
-        return True
-
     def search(start):
-        if all(r == 0 for r in residual):
-            found.append(tuple((vec, mult) for vec, mult in chosen if mult))
+        need = {v for v in range(n) if residual[v]}
+        if not need:
+            found.append(tuple(chosen))
             if len(found) > cap:
                 raise PatternCapExceeded(cap)
             return
-        if start == len(cand) or not coverable(start):
-            return
-        vec = cand[start]
-        top = min(residual[v] for v in range(n) if vec[v])
-        for mult in range(top, -1, -1):
-            for v in range(n):
-                residual[v] -= mult * vec[v]
-            chosen.append((vec, mult))
-            search(start + 1)
-            chosen.pop()
-            for v in range(n):
-                residual[v] += mult * vec[v]
+        for i in range(start, len(cand)):
+            if not need <= covers[i]:
+                return
+            sup = supports[i]
+            if not need.issuperset(sup):
+                continue
+            for mult in range(min(residual[v] for v in sup), 0, -1):
+                for v in sup:
+                    residual[v] -= mult
+                chosen.append((cand[i], mult))
+                search(i + 1)
+                chosen.pop()
+                for v in sup:
+                    residual[v] += mult
 
     search(0)
     return found
@@ -402,20 +430,22 @@ def _patterns_or_cap(search, vectors, s, cap):
 
 @st.composite
 def _vector_sets(draw):
-    n = draw(st.integers(1, 8))
-    vectors = draw(
-        st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=0, max_size=12)
-    )
+    """Up to 300 masks on at most 12 vertices, the n of the largest
+    random problems; zero and repeated masks included."""
+    n = draw(st.integers(1, 12))
+    size = draw(st.integers(0, 280))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size))
+    masks += draw(st.lists(st.sampled_from(masks + [0]), max_size=20))
     s = draw(st.tuples(*[st.integers(1, 4)] * n))
-    return vectors, s
+    return masks, s
 
 
 @settings(max_examples=300, deadline=None)
 @given(_vector_sets(), st.sampled_from((1, 5, 100)))
 def test_patterns_match_the_reference_search(case, cap):
-    vectors, s = case
-    assert _patterns_or_cap(enumerate_assignment_patterns, vectors, s, cap) == (
-        _patterns_or_cap(_reference_patterns, vectors, s, cap)
+    masks, s = case
+    assert _patterns_or_cap(enumerate_assignment_patterns, masks, s, cap) == (
+        _patterns_or_cap(_reference_patterns, as_vectors(masks, len(s)), s, cap)
     )
 
 
@@ -426,15 +456,15 @@ def test_patterns_match_the_reference_on_dense_vector_sets():
         for s in itertools.product((1, 2), repeat=n):
             for cap in (1, 5, 100):
                 assert _patterns_or_cap(
-                    enumerate_assignment_patterns, vectors, s, cap
+                    enumerate_assignment_patterns, as_masks(vectors), s, cap
                 ) == _patterns_or_cap(_reference_patterns, vectors, s, cap)
 
 
 def test_pattern_search_depth_is_bounded_by_the_list_sizes():
     # 2,047 candidates: one call per candidate would pass the recursion limit
-    vectors = [chi for chi in itertools.product((0, 1), repeat=11) if any(chi)]
+    masks = range(1, 1 << 11)
     with pytest.raises(PatternCapExceeded):
-        enumerate_assignment_patterns(vectors, (2,) * 11)
+        enumerate_assignment_patterns(masks, (2,) * 11)
 
 
 # ------------------------------------------------------------- pipeline
