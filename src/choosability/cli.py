@@ -16,6 +16,8 @@ import functools
 import json
 import sys
 
+from numpy._core import multiarray as np_multiarray
+
 from . import decide as decide_mod
 from . import oracle as oracle_mod
 from .graphs import (
@@ -421,6 +423,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # numpy asks the kernel for transparent huge pages on arrays of 4 MB and
+    # up; whether they come, at the fault or later from khugepaged, depends
+    # on the host's free memory, so one product could run 20% faster in one
+    # process than in the next.  The CLI's runs take ordinary pages.
+    np_multiarray._set_madvise_hugepage(False)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

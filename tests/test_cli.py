@@ -270,6 +270,16 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, monkeypatch
     assert [code for _, _, code in shared] == [1, 3, 0, 1, 0, 0]
 
 
+def test_cli_runs_ask_for_no_huge_pages(capsys):
+    """Huge pages come or not with the host's free memory, which would
+    make a run's time vary from one process to the next."""
+    from numpy._core import multiarray
+
+    multiarray._set_madvise_hugepage(True)
+    run_cli(capsys, ["gen", "glued-cliques", "2", "3"])
+    assert multiarray._set_madvise_hugepage(False) is False
+
+
 # coefficients
 
 def test_coefficients_standard_single_edge(tmp_path, capsys):
