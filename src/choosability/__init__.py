@@ -35,7 +35,6 @@ from .oracle import (
     brute_force_choosable,
     coefficient_table,
     color_from_pattern,
-    count_bounded_orientations,
     direct_coefficient,
     orientable_within_budget,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "coefficient_table",
     "collect_constraints",
     "color_from_pattern",
-    "count_bounded_orientations",
     "current_backend",
     "direct_coefficient",
     "enumerate_assignment_patterns",

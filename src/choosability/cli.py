@@ -186,10 +186,6 @@ def _print_report(report: dict, as_json: bool) -> None:
                 print(
                     "  vector %s x%d" % (entry["vector"], entry["multiplicity"])
                 )
-        elif cert["kind"] == "EdgeDeletion":
-            print("  deleted edges: %s" % (cert["edges"],))
-            inner = cert["inner"]
-            print("  inner certificate: %s" % (inner and inner["kind"]))
         elif cert["kind"] == "AllPatternsColorable":
             print("  patterns checked: %d" % cert["count"])
         elif cert["kind"] == "NoFeasibleVectors":
@@ -376,6 +372,8 @@ def bench_orderings(p: Problem, heuristics=HEURISTICS) -> list[dict]:
 def _cmd_bench(args) -> int:
     p = read_problem(args.problem)
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
+    if not heuristics:
+        raise ValueError("--heuristics names no heuristic")
     for h in heuristics:
         if h not in HEURISTICS:
             raise ValueError("unknown heuristic %r" % (h,))

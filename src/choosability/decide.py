@@ -4,8 +4,9 @@ The standard test looks for any surviving monomial of full degree; its
 existence certifies choosability.  The extended path keeps tight-marker
 terms, turns every group with a common degree base into a linear
 constraint on the 0/1 characteristic vectors of colors, and works through
-feasible vectors, deletable edges, and candidate list assignments, which
-are finally handed to the coloring search.
+feasible vectors and deletable edges to candidate list assignments.
+Each assignment goes to the coloring search as the pattern search finds
+it, and the first one that cannot be colored ends the search.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class FeasibleSearchTooLarge(Exception):
 
 
 class PatternCapExceeded(Exception):
-    """More candidate assignments exist than the configured cap."""
+    """More candidate assignments are needed than the configured cap."""
 
     def __init__(self, cap):
         super().__init__("more than %d assignment patterns" % cap)
@@ -311,14 +312,17 @@ def _candidate_order(masks, n: int):
     return masks[order[::-1]]
 
 
-def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP):
+def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP, stop=None):
     """Multisets of nonzero feasible vectors, given by their masks, with
     componentwise sum equal to s; each pattern lists (0/1 tuple,
     multiplicity) pairs.
 
     Vectors are scanned densest first with multiplicities counted down, so
-    the output order is deterministic.  Raises PatternCapExceeded as soon
-    as more than cap patterns exist.
+    the output order is deterministic.  Each pattern found is passed to
+    ``stop``, when given, before the search goes on; the first pattern for
+    which it is true ends the search and the list.  Raises
+    PatternCapExceeded once a pattern past the first cap is found, before
+    ``stop`` sees it.
 
     ``pos`` is the mask of vertices whose residual is still positive and
     ``suffix[i]`` the union of the masks from i on.  A node walks the
@@ -340,15 +344,16 @@ def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP):
     chosen = []
     found = []
 
-    def search(start: int, pos: int):
+    def search(start: int, pos: int) -> bool:
+        """Extend ``chosen``; true once ``stop`` ends the search."""
         if not pos:
-            found.append(tuple(chosen))
-            if len(found) > cap:
+            if len(found) == cap:
                 raise PatternCapExceeded(cap)
-            return
+            found.append(tuple(chosen))
+            return stop is not None and stop(found[-1])
         for i in range(start, len(cand)):
             if pos & ~suffix[i]:
-                return
+                return False
             mask = cand[i]
             if mask & ~pos:
                 continue
@@ -364,15 +369,18 @@ def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP):
             # only the largest multiplicity finishes a vertex
             done = sum(1 << v for v in sup if residual[v] == 0)
             chosen.append((vec, top))
-            search(i + 1, pos & ~done)
+            if search(i + 1, pos & ~done):
+                return True
             for mult in range(top - 1, 0, -1):
                 for v in sup:
                     residual[v] += 1
                 chosen[-1] = (vec, mult)
-                search(i + 1, pos)
+                if search(i + 1, pos):
+                    return True
             chosen.pop()
             for v in sup:
                 residual[v] += 1
+        return False
 
     search(0, sum(1 << v for v, r in enumerate(s) if r))
     return found
@@ -397,11 +405,11 @@ def pipeline_decide(p: Problem, **settings) -> Verdict:
 
     Stages: the standard test; constraint collection (with its own
     witness short-circuit); feasible-vector enumeration; deletable-edge
-    detection; assignment-pattern enumeration; coloring each candidate
-    assignment.  When the pattern cap is hit and deletable edges exist,
-    those edges are removed and the pipeline restarts on the reduced
-    problem with the same settings (at most once per edge).  Any stage
-    that cannot finish downgrades the verdict to UNKNOWN with the partial
+    detection; then one pattern stage, which colors each candidate
+    assignment as the search finds it and stops at the first that cannot
+    be colored.  The pattern cap bounds the assignments colored: a search
+    that needs more ends UNKNOWN ``TooManyPatterns``.  Any stage that
+    cannot finish downgrades the verdict to UNKNOWN with the partial
     findings kept in ``details``.
     """
     settings = Settings(**settings)
@@ -449,58 +457,37 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
     if not len(nonzero):
         return CHOOSABLE, {"kind": "NoFeasibleVectors", "rank": basis.rank}, None
 
-    deletable = find_deletable_edges(nonzero, p)
-    details["deletable_edges"] = [list(e) for e in deletable]
+    details["deletable_edges"] = [list(e) for e in find_deletable_edges(nonzero, p)]
 
     # With n + 1 >= deg(v) + 2 colors or more, v is never truncated or
     # marked in the product, so the rows hold for any list that long, and
     # v can always be colored last.  So longer lists are searched at that
     # length, and a bad pattern gets the rest of each as colors of its own.
     sizes = [min(x, p.n + 1) for x in p.s]
+    color = oracle.pattern_colorer(p)
+    bad = []
+
+    def uncolorable(pattern) -> bool:
+        if color(pattern) is not None:
+            return False
+        bad.append(pattern)
+        return True
+
     try:
-        patterns = enumerate_assignment_patterns(nonzero, sizes, settings.pattern_cap)
+        patterns = enumerate_assignment_patterns(
+            nonzero, sizes, settings.pattern_cap, stop=uncolorable
+        )
     except PatternCapExceeded:
-        if not deletable:
-            return UNKNOWN, None, "TooManyPatterns"
-        return _decide_without_edges(p, deletable, settings, details)
+        return UNKNOWN, None, "TooManyPatterns"
     details["pattern_count"] = len(patterns)
+    if bad:
+        pattern = bad[0] + tuple(
+            (tuple(int(u == v) for u in range(p.n)), x - k)
+            for v, (x, k) in enumerate(zip(p.s, sizes))
+            if x > k
+        )
+        cert = {"kind": "BadAssignment", "pattern": _pattern_json(pattern)}
+        return NOT_CHOOSABLE, cert, None
     if not patterns:
         return CHOOSABLE, {"kind": "NoComposition"}, None
-    for pattern in patterns:
-        if oracle.color_from_pattern(p, pattern) is None:
-            pattern += tuple(
-                (tuple(int(u == v) for u in range(p.n)), x - k)
-                for v, (x, k) in enumerate(zip(p.s, sizes))
-                if x > k
-            )
-            cert = {"kind": "BadAssignment", "pattern": _pattern_json(pattern)}
-            return NOT_CHOOSABLE, cert, None
     return CHOOSABLE, {"kind": "AllPatternsColorable", "count": len(patterns)}, None
-
-
-def _decide_without_edges(p: Problem, deletable, settings: Settings, details):
-    """Decide p with its never-shared edges deleted.
-
-    Sound in both directions: a bad assignment for the subgraph stays bad
-    for p (it is still checked on p), and colorability transfers back.
-    """
-    edges = [list(e) for e in deletable]
-    inner = pipeline_decide(p.without_edges(deletable), **vars(settings))
-    details["deleted_edges"] = edges
-    details["inner"] = {
-        "status": inner.status,
-        "certificate": inner.certificate,
-        "reason": inner.reason,
-        "details": inner.details,
-    }
-    if inner.status == CHOOSABLE:
-        cert = {"kind": "EdgeDeletion", "edges": edges, "inner": inner.certificate}
-        return CHOOSABLE, cert, None
-    if inner.status == NOT_CHOOSABLE:
-        pattern = tuple(
-            (tuple(entry["vector"]), entry["multiplicity"])
-            for entry in inner.certificate["pattern"]
-        )
-        if oracle.color_from_pattern(p, pattern) is None:
-            return NOT_CHOOSABLE, inner.certificate, None
-    return UNKNOWN, None, inner.reason or "UnverifiedTransfer"

@@ -124,15 +124,6 @@ def coefficient_table(p: Problem) -> dict[tuple[int, ...], tuple[int, int]]:
     return table
 
 
-def count_bounded_orientations(p: Problem, caps) -> int:
-    """Number of orientations with outdegree at most caps(v) everywhere."""
-    _, codes = _orientation_codes(p)
-    ok = np.ones(len(codes), dtype=bool)
-    for v in range(p.n):
-        ok &= ((codes >> (4 * v)) & 15) <= caps[v]
-    return int(ok.sum())
-
-
 def _match_edges_to_slots(edge_list, slots):
     """Kuhn's augmenting paths; True iff every edge gets its own slot."""
     match = [-1] * len(slots)
@@ -170,36 +161,70 @@ def orientable_within_budget(edge_list, budget) -> bool:
 def color_from_pattern(p: Problem, pattern):
     """Try to properly color p from the lists a pattern describes.
 
-    The pattern is a sequence of (vector, multiplicity) pairs; it yields
-    one abstract color per unit of multiplicity, present on vertex v when
-    vector[v] is 1.  Returns a per-vertex color index list or None.
+    The pattern is a sequence of (0/1 tuple, multiplicity) pairs; it
+    yields one abstract color per unit of multiplicity, present on vertex
+    v when vector[v] is 1.  Returns a per-vertex color index list or None.
+    """
+    return pattern_colorer(p)(pattern)
+
+
+def pattern_colorer(p: Problem):
+    """``color_from_pattern`` on p as a function of the pattern alone.
+    p's adjacency and degrees are built once, and each vector's support
+    the first time a pattern holds it.
 
     A vertex with more colors than neighbours can always be colored last,
     so the search leaves out a vector's units past one more than the
     largest degree on its support: that keeps the answer, and a huge
     multiplicity costs no more than a small one.
     """
-    degrees = p.degrees()
-    lists = [0] * p.n
-    units = []  # the pattern's index of each color the search sees
-    t = 0
-    for vec, mult in pattern:
-        support = [v for v in range(p.n) if vec[v]]
-        kept = min(int(mult), 1 + max((degrees[v] for v in support), default=-1))
-        for v in support:
-            lists[v] |= ((1 << kept) - 1) << len(units)
-        units.extend(range(t, t + kept))
-        t += int(mult)
-    coloring = _color_lists(p.n, p.adjacency(), lists)
-    return None if coloring is None else [units[c] for c in coloring]
+    n, adj, degrees = p.n, p.adjacency(), p.degrees()
+    shapes = {}  # vector -> (support, units worth keeping)
+
+    def color(pattern):
+        lists = [0] * n
+        units = []  # the pattern's index of each color the search sees
+        t = 0
+        for vec, mult in pattern:
+            shape = shapes.get(vec)
+            if shape is None:
+                support = [v for v in range(n) if vec[v]]
+                most = 1 + max((degrees[v] for v in support), default=-1)
+                shape = shapes[vec] = (support, most)
+            support, most = shape
+            kept = min(int(mult), most)
+            bits = ((1 << kept) - 1) << len(units)
+            for v in support:
+                lists[v] |= bits
+            units.extend(range(t, t + kept))
+            t += int(mult)
+        coloring = _color_lists(n, adj, lists)
+        return None if coloring is None else [units[c] for c in coloring]
+
+    return color
 
 
 def _color_lists(n, adj, lists):
     """Proper coloring from bitmask lists (bit t of lists[v]: v may take t).
 
-    Search picks the vertex with the fewest remaining colors first.
-    Returns a per-vertex color index list or None.
+    One greedy pass, vertices with the fewest colors first, colors most
+    list assignments; when it gets stuck, a search that picks the vertex
+    with the fewest remaining colors first decides.  Returns a per-vertex
+    color index list or None.
     """
+    counts = [x.bit_count() for x in lists]
+    color = [-1] * n
+    taken = [0] * n  # the colors of each vertex's colored neighbours
+    for v in sorted(range(n), key=counts.__getitem__):
+        free = lists[v] & ~taken[v]
+        if not free:
+            break
+        bit = free & -free
+        color[v] = bit.bit_length() - 1
+        for u in adj[v]:
+            taken[u] |= bit
+    else:
+        return color
     color = [-1] * n
     avail = lists[:]
 

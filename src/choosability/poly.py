@@ -91,21 +91,6 @@ class DegreeLayout:
             acc[self.pos_word[i]] |= self.field_mask << self.pos_shift[i]
             self.prefix_masks[i] = [np.uint64(x) for x in acc]
 
-    def pack(self, f) -> np.ndarray:
-        """Pack a degree vector given in original vertex indexing."""
-        words = [0] * self.words
-        for v, fv in enumerate(f):
-            if not (0 <= fv <= self.problem.s[v]):
-                raise ValueError("degree %d out of range at vertex %d" % (fv, v))
-            words[self.v_word[v]] |= fv << self.v_shift[v]
-        return np.array(words, dtype=np.uint64)
-
-    def unpack(self, key) -> tuple[int, ...]:
-        return tuple(
-            int((int(key[self.v_word[v]]) >> self.v_shift[v]) & self.field_mask)
-            for v in range(self.problem.n)
-        )
-
 
 @dataclass
 class TermList:
@@ -123,18 +108,6 @@ class TermList:
             np.zeros((1, layout.words), dtype=np.uint64),
             np.ones(1, dtype=np.int64),
         )
-
-    def is_strictly_sorted(self) -> bool:
-        if len(self) < 2:
-            return True
-        prev = self.keys[:-1]
-        cur = self.keys[1:]
-        greater = np.zeros(len(self) - 1, dtype=bool)
-        decided = np.zeros(len(self) - 1, dtype=bool)
-        for w in range(self.keys.shape[1]):
-            greater |= ~decided & (cur[:, w] > prev[:, w])
-            decided |= cur[:, w] != prev[:, w]
-        return bool((greater & decided).all() and decided.all())
 
 
 def unpack_terms(layout: DegreeLayout, terms: TermList):

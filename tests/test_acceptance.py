@@ -23,7 +23,6 @@ from choosability.oracle import (
     brute_force_choosable,
     coefficient_table,
     color_from_pattern,
-    count_bounded_orientations,
 )
 from choosability.poly import run_truncated_product, unpack_terms
 
@@ -38,6 +37,7 @@ from _examples import (
     wheel,
     wheel_extension,
 )
+from _references import count_bounded_orientations
 
 BRANCH_LIMITS = (1, 8, 10**6)
 HEURISTIC_SAMPLE = ("INPUT", "VSEP", "MD+PROC")

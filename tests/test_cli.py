@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choosability import Problem, cli, pipeline_decide, poly
+from choosability import (
+    Problem,
+    brute_force_choosable,
+    cli,
+    color_from_pattern,
+    pipeline_decide,
+    poly,
+)
 from choosability.decide import MODES
 from choosability.graphs import format_problem, generate_family
 from choosability.graphs import parse_problem
@@ -146,12 +153,37 @@ def test_decide_branch_limit_zero_disables_partitioning(tmp_path, capsys):
     assert report["certificate"] == pipeline_decide(cycle(5)).certificate
 
 
+def _bad_pattern(report):
+    assert report["verdict"] == "NOT_CHOOSABLE"
+    assert report["certificate"]["kind"] == "BadAssignment"
+    return [
+        (tuple(entry["vector"]), entry["multiplicity"])
+        for entry in report["certificate"]["pattern"]
+    ]
+
+
 def test_decide_pattern_cap_flag(tmp_path, capsys):
-    p = Problem(n=3, s=(1, 1, 2), edges=((0, 1), (1, 2)), name="p112")
+    # p112's first pattern is bad, so cap 1 is enough to refute it
+    p112 = Problem(n=3, s=(1, 1, 2), edges=((0, 1), (1, 2)), name="p112")
+    path = write_problem(tmp_path, p112)
+    code, out, _ = run_cli(capsys, ["decide", path, "--pattern-cap", "1", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert color_from_pattern(p112, _bad_pattern(report)) is None
+    assert brute_force_choosable(p112)[0] is False
+    assert report["details"]["pattern_count"] == 1
+    # here the first pattern colors and the second is bad
+    p = Problem(n=4, s=(1, 1, 2, 3), edges=((0, 3), (1, 2), (1, 3), (2, 3)), name="q")
     path = write_problem(tmp_path, p)
     code, out, _ = run_cli(capsys, ["decide", path, "--pattern-cap", "1"])
     assert code == 2
     assert "reason: TooManyPatterns" in out
+    code, out, _ = run_cli(capsys, ["decide", path, "--pattern-cap", "2", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert color_from_pattern(p, _bad_pattern(report)) is None
+    assert brute_force_choosable(p)[0] is False
+    assert report["details"]["pattern_count"] == 2
 
 
 def test_decide_feasible_cap_flag(tmp_path, capsys):
@@ -444,6 +476,14 @@ def test_bench_text_table(tmp_path, capsys):
     assert lines[0].split() == ["heuristic", "monomials", "relative"]
     for name in ("INPUT", "VSEP", "MD+PROC"):
         assert any(line.startswith(name) for line in lines[1:])
+
+
+@pytest.mark.parametrize("names", [",", "", " , "])
+def test_bench_without_heuristics_exits_3(tmp_path, capsys, names):
+    path = write_problem(tmp_path, cycle(5))
+    code, out, err = run_cli(capsys, ["bench", path, "--heuristics", names])
+    assert (code, out) == (3, "")
+    assert "error:" in err and "no heuristic" in err
 
 
 def test_bench_unknown_heuristic_exits_3(tmp_path, capsys):

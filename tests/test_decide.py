@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from choosability import (
     ConstraintBasis,
     ConstraintRow,
     FeasibleSearchTooLarge,
+    OracleLimitError,
     PatternCapExceeded,
     Problem,
+    brute_force_choosable,
     collect_constraints,
+    color_from_pattern,
     enumerate_assignment_patterns,
     enumerate_feasible_vectors,
     find_deletable_edges,
@@ -376,11 +380,15 @@ def test_pattern_cap_is_enforced():
     assert len(many) > 1
 
 
-def _reference_patterns(vectors, s, cap=100):
-    """The pattern search on 0/1 tuples, written plainly: candidates
-    sorted by tuple, the vertices still to fill kept as a set, and a
-    node that skips candidate i takes every candidate before it 0
-    times."""
+class _Enough(Exception):
+    pass
+
+
+def _reference_patterns(vectors, s, limit):
+    """The first ``limit`` patterns of the pattern search on 0/1 tuples,
+    written plainly: candidates sorted by tuple, the vertices still to
+    fill kept as a set, and a node that skips candidate i takes every
+    candidate before it 0 times."""
     n = len(s)
     cand = sorted(
         {tuple(v) for v in vectors if any(v)},
@@ -399,8 +407,8 @@ def _reference_patterns(vectors, s, cap=100):
         need = {v for v in range(n) if residual[v]}
         if not need:
             found.append(tuple(chosen))
-            if len(found) > cap:
-                raise PatternCapExceeded(cap)
+            if len(found) == limit:
+                raise _Enough
             return
         for i in range(start, len(cand)):
             if not need <= covers[i]:
@@ -417,15 +425,42 @@ def _reference_patterns(vectors, s, cap=100):
                 for v in sup:
                     residual[v] += mult
 
-    search(0)
+    try:
+        search(0)
+    except _Enough:
+        pass
     return found
 
 
-def _patterns_or_cap(search, vectors, s, cap):
+def _expected_patterns(vectors, s, cap, stop=None):
+    """The reference list cut after the first pattern ``stop`` accepts,
+    or the cap when the search needs more than cap patterns."""
+    found = _reference_patterns(vectors, s, cap + 1)
+    for k, pattern in enumerate(found[:cap]):
+        if stop is not None and stop(pattern):
+            return found[: k + 1]
+    return ("cap", cap) if len(found) > cap else found
+
+
+def _patterns_or_cap(masks, s, cap, stop=None):
+    """The patterns the search returns, or the cap; checks that ``stop``
+    saw exactly the patterns returned, and at most cap of them."""
+    seen = []
+
+    def recorded(pattern):
+        seen.append(pattern)
+        return stop(pattern)
+
     try:
-        return search(vectors, s, cap)
+        found = enumerate_assignment_patterns(
+            masks, s, cap, stop=None if stop is None else recorded
+        )
     except PatternCapExceeded as exc:
+        assert len(seen) <= cap
         return ("cap", exc.cap)
+    # stop sees each pattern as it is found, and none after it ends the list
+    assert seen == ([] if stop is None else found)
+    return found
 
 
 @st.composite
@@ -440,12 +475,21 @@ def _vector_sets(draw):
     return masks, s
 
 
+def _stop_on_hash(k):
+    """A predicate true on about one pattern in k, and on every one at k = 1."""
+    return lambda pattern: zlib.crc32(repr(pattern).encode()) % k == 0
+
+
 @settings(max_examples=300, deadline=None)
-@given(_vector_sets(), st.sampled_from((1, 5, 100)))
-def test_patterns_match_the_reference_search(case, cap):
+@given(
+    _vector_sets(),
+    st.sampled_from((1, 5, 100)),
+    st.one_of(st.none(), st.sampled_from((1, 2, 7, 40)).map(_stop_on_hash)),
+)
+def test_patterns_match_the_reference_search(case, cap, stop):
     masks, s = case
-    assert _patterns_or_cap(enumerate_assignment_patterns, masks, s, cap) == (
-        _patterns_or_cap(_reference_patterns, as_vectors(masks, len(s)), s, cap)
+    assert _patterns_or_cap(masks, s, cap, stop) == (
+        _expected_patterns(as_vectors(masks, len(s)), s, cap, stop)
     )
 
 
@@ -455,9 +499,9 @@ def test_patterns_match_the_reference_on_dense_vector_sets():
         vectors = [chi for chi in itertools.product((0, 1), repeat=n) if any(chi)]
         for s in itertools.product((1, 2), repeat=n):
             for cap in (1, 5, 100):
-                assert _patterns_or_cap(
-                    enumerate_assignment_patterns, as_masks(vectors), s, cap
-                ) == _patterns_or_cap(_reference_patterns, vectors, s, cap)
+                assert _patterns_or_cap(as_masks(vectors), s, cap) == (
+                    _expected_patterns(vectors, s, cap)
+                )
 
 
 def test_pattern_search_depth_is_bounded_by_the_list_sizes():
@@ -573,14 +617,61 @@ def test_pipeline_triangle_with_singleton_lists_is_unknown():
     assert verdict.reason == "NoConstraints"
 
 
+def _assert_refuted(p, verdict, **limits):
+    """A NOT_CHOOSABLE verdict whose lists sum to s and cannot be colored,
+    on a problem brute force, under ``limits``, finds not choosable."""
+    assert verdict.status == NOT_CHOOSABLE, p.name
+    assert verdict.certificate["kind"] == "BadAssignment"
+    pattern = [
+        (tuple(entry["vector"]), entry["multiplicity"])
+        for entry in verdict.certificate["pattern"]
+    ]
+    assert [sum(mult * vec[v] for vec, mult in pattern) for v in range(p.n)] == list(p.s)
+    assert color_from_pattern(p, pattern) is None, p.name
+    assert brute_force_choosable(p, **limits)[0] is False, p.name
+
+
 def test_pipeline_pattern_cap_without_deletable_edges():
-    p = Problem(n=3, s=(1, 1, 2), edges=((0, 1), (1, 2)), name="p112")
-    full = pipeline_decide(p)
-    assert full.status == NOT_CHOOSABLE
+    # p112's first pattern is bad, so cap 1 is enough to refute it
+    p112 = Problem(n=3, s=(1, 1, 2), edges=((0, 1), (1, 2)), name="p112")
+    capped = pipeline_decide(p112, pattern_cap=1)
+    _assert_refuted(p112, capped)
+    assert capped.certificate == pipeline_decide(p112).certificate
+    assert capped.details["pattern_count"] == 1
+    assert capped.details["deletable_edges"] == []
+    # here the first pattern colors and the second is bad
+    p = Problem(n=4, s=(1, 1, 2, 3), edges=((0, 3), (1, 2), (1, 3), (2, 3)))
     capped = pipeline_decide(p, pattern_cap=1)
-    assert capped.status == UNKNOWN
+    assert (capped.status, capped.certificate) == (UNKNOWN, None)
     assert capped.reason == "TooManyPatterns"
     assert capped.details["deletable_edges"] == []
+    assert "pattern_count" not in capped.details
+    enough = pipeline_decide(p, pattern_cap=2)
+    _assert_refuted(p, enough)
+    assert enough.details["pattern_count"] == 2
+
+
+def test_corpora_are_decided_within_the_pattern_cap():
+    # The pattern stage colors each pattern as it is found, so no corpus
+    # problem needs more than the default cap.  A refutation is checked
+    # by coloring and, where brute force stays within its limits, by brute
+    # force; a CHOOSABLE verdict needs the whole brute-force enumeration,
+    # so only the small ones are checked that way.
+    checked = 0
+    for p in coefficient_corpus() + agreement_corpus():
+        verdict = pipeline_decide(p)
+        assert verdict.reason != "TooManyPatterns", p.name
+        if verdict.status == UNKNOWN:
+            continue
+        try:
+            if verdict.status == NOT_CHOOSABLE:
+                _assert_refuted(p, verdict, max_nodes=20_000)
+            else:
+                assert brute_force_choosable(p, max_total=12)[0] is True, p.name
+            checked += 1
+        except OracleLimitError:
+            pass
+    assert checked >= 90
 
 
 @pytest.mark.parametrize("cap", ["pattern_cap", "feasible_cap"])
@@ -623,58 +714,7 @@ def test_pipeline_reports_no_feasible_vectors(monkeypatch):
     assert verdict.certificate == {"kind": "NoFeasibleVectors", "rank": 2}
 
 
-def _force_first_pattern_call_over_cap(monkeypatch):
-    real = decide_module.enumerate_assignment_patterns
-    state = {"first": True}
-
-    def forced(vectors, s, cap=100):
-        if state["first"]:
-            state["first"] = False
-            raise PatternCapExceeded(cap)
-        return real(vectors, s, cap)
-
-    monkeypatch.setattr(decide_module, "enumerate_assignment_patterns", forced)
-
-
-def test_pipeline_edge_deletion_restart_choosable(monkeypatch):
-    _force_first_pattern_call_over_cap(monkeypatch)
-    verdict = pipeline_decide(wheel())
-    assert verdict.status == CHOOSABLE
-    assert verdict.certificate["kind"] == "EdgeDeletion"
-    assert sorted(map(tuple, verdict.certificate["edges"])) == [(1, 5), (3, 4)]
-    assert verdict.details["deleted_edges"] == verdict.certificate["edges"]
-    assert verdict.details["inner"]["status"] == CHOOSABLE
-    # the reduced wheel has a standard witness, so in the default mode its
-    # run stops after the standard stage
-    reduced = wheel().without_edges([(1, 5), (3, 4)])
-    inner_details = verdict.details["inner"]["details"]
-    assert inner_details == pipeline_decide(reduced).details
-    assert inner_details["standard_stats"] != verdict.details["standard_stats"]
-    _force_first_pattern_call_over_cap(monkeypatch)
-    extended = pipeline_decide(wheel(), mode="extended")
-    assert extended.certificate == verdict.certificate
-    inner_details = extended.details["inner"]["details"]
-    assert inner_details == pipeline_decide(reduced, mode="extended").details
-    assert inner_details["extended_stats"] != extended.details["extended_stats"]
-
-
-def test_pipeline_edge_deletion_restart_bad_assignment(monkeypatch):
-    _force_first_pattern_call_over_cap(monkeypatch)
-    verdict = pipeline_decide(fan())
-    assert verdict.status == NOT_CHOOSABLE
-    assert verdict.certificate["kind"] == "BadAssignment"
-    pattern = [
-        (tuple(entry["vector"]), entry["multiplicity"])
-        for entry in verdict.certificate["pattern"]
-    ]
-    from choosability import color_from_pattern
-
-    assert color_from_pattern(fan(), pattern) is None
-
-
 def test_pipeline_takes_lists_longer_than_n_at_length_n_plus_one():
-    from choosability import brute_force_choosable, color_from_pattern
-
     rng = random.Random(53)
     seen = set()
     for _ in range(60):
@@ -720,8 +760,6 @@ def test_verdicts_do_not_depend_on_the_ordering_heuristic():
 
 
 def test_glued_cliques_3_5_is_refuted_at_paper_scale():
-    from choosability import color_from_pattern
-
     p = generate_family("glued-cliques", 3, 5)
     start = time.monotonic()
     verdict = pipeline_decide(p)

@@ -9,6 +9,8 @@ from choosability import Problem, VertexOrdering
 from choosability.kernels import INT64_MIN, emit_bump, emit_mark, merge2
 from choosability.poly import DegreeLayout, TermList, iter_terms
 
+from _references import pack
+
 INT64_MAX = 2**63 - 1
 
 
@@ -101,7 +103,7 @@ def _layout_and_terms(entries, marked=True):
     layout = DegreeLayout(p, VertexOrdering(order=(0, 1)), marked=marked)
     keys = []
     for f, marker, _ in entries:
-        key = layout.pack(f)
+        key = pack(layout, f)
         if marker is not None:
             key[layout.marker_word] |= np.uint64(layout.v_code[marker] << layout.marker_shift)
         keys.append(key)

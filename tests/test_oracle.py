@@ -12,7 +12,6 @@ from choosability import (
     brute_force_choosable,
     coefficient_table,
     color_from_pattern,
-    count_bounded_orientations,
     direct_coefficient,
 )
 from choosability.oracle import orientable_within_budget
@@ -25,6 +24,7 @@ from _examples import (
     random_problem,
     wheel,
 )
+from _references import count_bounded_orientations
 
 
 def test_direct_coefficient_on_even_cycle():
@@ -213,6 +213,8 @@ def test_color_from_pattern_takes_huge_multiplicities():
     star = Problem(n=3, s=(3, 1, 1), edges=((0, 1), (0, 2)))
     coloring = color_from_pattern(star, [((0, 1, 1), 1), ((1, 0, 0), 9)])
     assert coloring[1] == coloring[2] == 0 and 1 <= coloring[0] <= 9
+    # the units kept are one more than the largest degree on the support
+    assert color_from_pattern(complete(3), [((1, 1, 1), 2**40)]) is not None
 
 
 def test_brute_force_refuses_large_inputs():
