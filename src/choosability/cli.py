@@ -11,7 +11,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -57,9 +56,8 @@ def read_problem(path: str) -> Problem:
     return parse_problem(text, name=name)
 
 
-def _add_run_flags(sp, modes=None, default_mode=None):
-    if modes:
-        sp.add_argument("--mode", choices=modes, default=default_mode)
+def _add_run_flags(sp, modes, default_mode):
+    sp.add_argument("--mode", choices=modes, default=default_mode)
     sp.add_argument("--heuristic", choices=HEURISTICS, default=DEFAULT_HEURISTIC)
     sp.add_argument(
         "--branch-limit",
@@ -145,20 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _settings(args) -> decide_mod.Settings:
-    """The run settings among the parsed flags; branch limit 0 is None."""
-    names = [f.name for f in dataclasses.fields(decide_mod.Settings)]
-    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
-    given["branch_limit"] = args.branch_limit or None
-    return decide_mod.Settings(**given)
+def _config(args, *names) -> dict:
+    """The run settings a command takes: --mode, --heuristic,
+    --branch-limit (0 is None) and the flags in ``names``."""
+    config = {name: getattr(args, name) for name in ("mode", "heuristic", *names)}
+    config["branch_limit"] = args.branch_limit or None
+    return config
 
 
-def _report(p: Problem, settings: decide_mod.Settings, args, **fields) -> dict:
-    """The problem and the settings, which every report echoes, plus fields."""
+def _report(p: Problem, config: dict, args, **fields) -> dict:
+    """The problem and the command's settings, which every report echoes,
+    plus fields."""
     output = "json" if args.json else "text"
     return {
         "problem": {"name": p.name, "n": p.n, "m": p.m},
-        "config": dict(vars(settings), output=output),
+        "config": dict(config, output=output),
         **fields,
     }
 
@@ -218,11 +217,11 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 def _cmd_decide(args) -> int:
     p = read_problem(args.problem)
-    settings = _settings(args)
-    verdict = decide_mod.pipeline_decide(p, **vars(settings))
+    config = _config(args, "pattern_cap", "feasible_cap", "prune_matching")
+    verdict = decide_mod.pipeline_decide(p, **config)
     report = _report(
         p,
-        settings,
+        config,
         args,
         verdict=verdict.status,
         certificate=verdict.certificate,
@@ -235,15 +234,15 @@ def _cmd_decide(args) -> int:
 
 def _cmd_coefficients(args) -> int:
     p = read_problem(args.problem)
-    settings = _settings(args)
-    ordering = order_vertices(p, settings.heuristic)
+    config = _config(args)
+    ordering = order_vertices(p, config["heuristic"])
     rows = []
     try:
         run_truncated_product(
             p,
             ordering,
-            mode=settings.mode,
-            branch_limit=settings.branch_limit,
+            mode=config["mode"],
+            branch_limit=config["branch_limit"],
             sink=lambda layout, terms: rows.extend(iter_terms(layout, terms)),
         )
     except CoefficientOverflow as exc:
@@ -256,7 +255,7 @@ def _cmd_coefficients(args) -> int:
             {"f": list(f), "marker": marker, "coefficient": coeff}
             for f, marker, coeff in rows
         ]
-        print(json.dumps(_report(p, settings, args, terms=terms), indent=2, sort_keys=True))
+        print(json.dumps(_report(p, config, args, terms=terms), indent=2, sort_keys=True))
     else:
         for f, marker, coeff in rows:
             mark = "-" if marker is None else str(marker)
@@ -265,6 +264,8 @@ def _cmd_coefficients(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.degrees and args.action != "coefficient":
+        raise ValueError("oracle %s takes no degree vector" % args.action)
     p = read_problem(args.problem)
     if args.action == "coefficient":
         if len(args.degrees) != p.n:
@@ -335,18 +336,17 @@ def _cmd_oracle(args) -> int:
 def bench_orderings(p: Problem, heuristics=HEURISTICS) -> list[dict]:
     """Total monomial counts per ordering heuristic.
 
-    Runs the standard-mode product to completion with partitioning
-    disabled, once per heuristic, and reports counts relative to the
-    INPUT ordering.
+    Runs the standard-mode product to completion at the default branch
+    limit, once per heuristic, and reports counts relative to the INPUT
+    ordering.  The counts do not depend on the limit; the limit bounds
+    the terms held at once, not the time, which grows with the count.
     """
     wanted = list(dict.fromkeys(heuristics))
     runs = {}
     for h in dict.fromkeys(["INPUT", *wanted]):
         ordering = order_vertices(p, h)
         try:
-            _, stats = run_truncated_product(
-                p, ordering, mode="standard", branch_limit=None
-            )
+            _, stats = run_truncated_product(p, ordering, mode="standard")
             runs[h] = (tuple(ordering.order), stats.total_monomials, None)
         except CoefficientOverflow as exc:
             runs[h] = (tuple(ordering.order), None, str(exc))

@@ -33,7 +33,7 @@ CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
 UNKNOWN = "UNKNOWN"
 
-MODES = ("standard", "extended", "pipeline")
+MODES = ("standard", "pipeline")
 DEFAULT_PATTERN_CAP = 100
 DEFAULT_FEASIBLE_CAP = 25
 
@@ -42,9 +42,9 @@ DEFAULT_FEASIBLE_CAP = 25
 class Settings:
     """The settings of one ``pipeline_decide`` run.
 
-    mode "standard" runs only the first stage, "extended" skips it, and
-    "pipeline" runs them all.  The matching prune acts on the standard
-    stage only, so mode "extended" refuses it.  Both caps must be at
+    The standard stage runs first; mode "standard" stops after it, and
+    "pipeline" goes on to the later stages when it finds no witness.
+    The matching prune acts on the standard stage.  Both caps must be at
     least 1.  The heuristic and the branch limit are checked where they
     are used, by ``order_vertices`` and ``run_truncated_product``.
     """
@@ -61,8 +61,6 @@ class Settings:
             raise ValueError("mode must be one of %s" % ", ".join(MODES))
         if min(self.pattern_cap, self.feasible_cap) < 1:
             raise ValueError("the pattern and feasible caps must be at least 1")
-        if self.mode == "extended" and self.prune_matching:
-            raise ValueError("the matching prune applies only to the standard stage")
 
 
 class FeasibleSearchTooLarge(Exception):
@@ -403,14 +401,15 @@ def _stats_json(stats: RunStats):
 def pipeline_decide(p: Problem, **settings) -> Verdict:
     """Full decision pipeline under ``Settings(**settings)``.
 
-    Stages: the standard test; constraint collection (with its own
-    witness short-circuit); feasible-vector enumeration; deletable-edge
-    detection; then one pattern stage, which colors each candidate
-    assignment as the search finds it and stops at the first that cannot
-    be colored.  The pattern cap bounds the assignments colored: a search
-    that needs more ends UNKNOWN ``TooManyPatterns``.  Any stage that
-    cannot finish downgrades the verdict to UNKNOWN with the partial
-    findings kept in ``details``.
+    Stages: the standard test, after which mode "standard" stops; then
+    constraint collection (with its own witness short-circuit);
+    feasible-vector enumeration; deletable-edge detection; and one
+    pattern stage, which colors each candidate assignment as the search
+    finds it and stops at the first that cannot be colored.  The pattern
+    cap bounds the assignments colored: a search that needs more ends
+    UNKNOWN ``TooManyPatterns``.  Any stage that cannot finish
+    downgrades the verdict to UNKNOWN with the partial findings kept in
+    ``details``.
     """
     settings = Settings(**settings)
     details: dict = {}
@@ -422,13 +421,11 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
     """The stages of ``pipeline_decide``, filling ``details`` as they go;
     returns (status, certificate, reason)."""
     ordering = order_vertices(p, settings.heuristic)
-    witness = None
     try:
-        if settings.mode != "extended":
-            witness, stats = standard_alon_tarsi(
-                p, ordering, settings.branch_limit, settings.prune_matching
-            )
-            details["standard_stats"] = _stats_json(stats)
+        witness, stats = standard_alon_tarsi(
+            p, ordering, settings.branch_limit, settings.prune_matching
+        )
+        details["standard_stats"] = _stats_json(stats)
         if witness is None and settings.mode != "standard":
             basis, witness, stats = collect_constraints(p, ordering, settings.branch_limit)
             details["extended_stats"] = _stats_json(stats)

@@ -8,6 +8,7 @@ import contextlib
 import io
 import itertools
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -72,18 +73,6 @@ def test_decide_standard_miss_is_unknown(tmp_path, capsys):
     assert code == 2
     assert "verdict: UNKNOWN" in out
     assert "reason: NoWitness" in out
-
-
-def test_decide_extended_short_circuit(tmp_path, capsys):
-    path = write_problem(tmp_path, cycle(4))
-    code, out, _ = run_cli(capsys, ["decide", path, "--mode", "extended", "--json"])
-    assert code == 0
-    report = json.loads(out)
-    assert report["verdict"] == "CHOOSABLE"
-    assert report["certificate"]["kind"] == "WitnessMonomial"
-    assert report["config"]["mode"] == "extended"
-    assert "extended_stats" in report["details"]
-    assert "standard_stats" not in report["details"]
 
 
 def test_decide_no_constraints_is_unknown(tmp_path, capsys):
@@ -219,16 +208,20 @@ def test_decide_prune_matching_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["decide", path, "--prune-matching"])
     assert code == 1
     assert "verdict: NOT_CHOOSABLE" in out
+    argv = ["decide", path, "--mode", "standard", "--prune-matching", "--json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["config"]["prune_matching"] is True
 
 
-def test_decide_extended_mode_refuses_prune_matching(tmp_path, capsys):
+def test_decide_extended_mode_exits_3(tmp_path, capsys):
     path = write_problem(tmp_path, cycle(5))
-    code, out, err = run_cli(
-        capsys, ["decide", path, "--mode", "extended", "--prune-matching", "--json"]
-    )
-    assert code == 3
-    assert out == ""
-    assert "error:" in err and "standard stage" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decide", path, "--mode", "extended"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "'extended'" in captured.err
 
 
 # error handling
@@ -353,6 +346,12 @@ def test_coefficients_json_shape(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["problem"] == {"name": "edge", "n": 2, "m": 1}
+    assert report["config"] == {
+        "mode": "extended",
+        "heuristic": "MD+PROC",
+        "branch_limit": 100000,
+        "output": "json",
+    }
     assert report["terms"] == [
         {"f": [0, 0], "marker": 0, "coefficient": -1},
         {"f": [0, 0], "marker": 1, "coefficient": 1},
@@ -444,6 +443,14 @@ def test_oracle_choosable_json(tmp_path, capsys):
         "choosable": False,
         "witness": [{"vector": [1, 1, 1, 1, 1], "multiplicity": 2}],
     }
+
+
+@pytest.mark.parametrize("action", ["table", "choosable"])
+def test_oracle_refuses_degrees_outside_the_coefficient_action(tmp_path, capsys, action):
+    path = write_problem(tmp_path, cycle(4))
+    code, out, err = run_cli(capsys, ["oracle", action, path, "1", "2", "3"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "degree" in err
 
 
 def test_oracle_choosable_refuses_large_input(tmp_path, capsys):
@@ -544,6 +551,15 @@ def test_gen_pipes_into_decide(monkeypatch, capsys):
     verdict = pipeline_decide(generate_family("glued-cliques", 2, 3))
     assert report["verdict"] == verdict.status == "NOT_CHOOSABLE"
     assert report["certificate"] == verdict.certificate
+    # the text report opens as README's sample output shows
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run_cli(capsys, ["decide", "-"])
+    assert code == 1
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("$ choosability gen glued-cliques 2 3 | choosability decide -") + 1
+    assert out.splitlines()[:6] == lines[start : start + 6]
+    assert lines[start + 6] == "..."
 
 
 # malformed input

@@ -32,7 +32,7 @@ from choosability import (
 )
 from choosability import decide as decide_module
 from choosability.graphs import HEURISTICS, generate_family, order_vertices
-from choosability.poly import iter_terms, run_truncated_product
+from choosability.poly import RunStats, iter_terms, run_truncated_product
 
 from _examples import (
     agreement_corpus,
@@ -559,14 +559,6 @@ def test_pipeline_even_cycle_whispers_standard_witness():
     }
 
 
-def test_pipeline_extended_only_still_finds_witness():
-    verdict = pipeline_decide(cycle(4), mode="extended")
-    assert verdict.status == CHOOSABLE
-    assert verdict.certificate["kind"] == "WitnessMonomial"
-    assert verdict.certificate["f"] == [1, 1, 1, 1]
-    assert set(verdict.details) == {"extended_stats"}
-
-
 def test_pipeline_standard_mode_stops_after_the_standard_stage():
     hit = pipeline_decide(cycle(4), mode="standard")
     assert hit.status == CHOOSABLE
@@ -582,13 +574,9 @@ def test_pipeline_standard_mode_stops_after_the_standard_stage():
 
 
 def test_pipeline_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        pipeline_decide(cycle(4), mode="fast")
-
-
-def test_pipeline_rejects_matching_prune_in_extended_mode():
-    with pytest.raises(ValueError):
-        pipeline_decide(cycle(4), mode="extended", prune_matching=True)
+    for mode in ("fast", "extended"):
+        with pytest.raises(ValueError):
+            pipeline_decide(cycle(4), mode=mode)
 
 
 def test_pipeline_edgeless_graph():
@@ -702,14 +690,16 @@ def test_pipeline_reports_no_feasible_vectors(monkeypatch):
     basis.add((0, 0), (1, 0))
     basis.add((0, 0), (0, 1))
 
-    def fake_collect(p, ordering, branch_limit):
-        from choosability.poly import RunStats
+    def fake_standard(p, ordering, branch_limit, prune_matching):
+        return None, RunStats()
 
+    def fake_collect(p, ordering, branch_limit):
         return basis, None, RunStats()
 
+    monkeypatch.setattr(decide_module, "standard_alon_tarsi", fake_standard)
     monkeypatch.setattr(decide_module, "collect_constraints", fake_collect)
     p = Problem(n=2, s=(1, 1), edges=((0, 1),))
-    verdict = pipeline_decide(p, mode="extended")
+    verdict = pipeline_decide(p)
     assert verdict.status == CHOOSABLE
     assert verdict.certificate == {"kind": "NoFeasibleVectors", "rank": 2}
 

@@ -390,6 +390,20 @@ def _rebuilt(deliveries):
 
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_total_monomials_do_not_depend_on_the_branch_limit(mode):
+    # bench_orderings counts at the default limit what an unsplit run counts
+    for p in _split_cases():
+        ordering = order_vertices(p, "MD+PROC")
+        counts, branches = [], []
+        for limit in (None, 10**5, 10, 1):
+            _, stats = run_truncated_product(p, ordering, mode=mode, branch_limit=limit)
+            counts.append(stats.total_monomials)
+            branches.append(stats.branches)
+        assert counts == [counts[0]] * 4, p.name
+        assert branches[-1] > branches[0], p.name
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
 def test_parts_arrive_in_descending_order_and_rebuild_the_unsplit_list(mode):
     for p in _split_cases():
         ordering = order_vertices(p, "MD+PROC")
