@@ -22,6 +22,7 @@ from . import oracle as oracle_mod
 from .graphs import (
     DEFAULT_HEURISTIC,
     FAMILIES,
+    FIXED_HEURISTICS,
     HEURISTICS,
     Problem,
     ProblemFormatError,
@@ -29,6 +30,7 @@ from .graphs import (
     generate_family,
     order_vertices,
     parse_problem,
+    product_estimate,
 )
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
@@ -130,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("problem", help="problem file, or - for stdin")
     sp.add_argument(
         "--heuristics",
-        default=",".join(HEURISTICS),
-        help="comma-separated list (default: all)",
+        default=",".join(FIXED_HEURISTICS),
+        help="comma-separated list (default: all but AUTO, which picks one of them)",
     )
     sp.add_argument("--json", action="store_true")
 
@@ -201,6 +203,8 @@ def _print_report(report: dict, as_json: bool) -> None:
     ):
         if key in details:
             print("%s: %s" % (key.replace("_", " "), details[key]))
+    if "ordering" in details:
+        print("ordering: %(heuristic)s estimate=%(estimate)d" % details["ordering"])
     for key in ("standard_stats", "extended_stats"):
         if key in details:
             st = details[key]
@@ -333,8 +337,9 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def bench_orderings(p: Problem, heuristics=HEURISTICS) -> list[dict]:
-    """Total monomial counts per ordering heuristic.
+def bench_orderings(p: Problem, heuristics=FIXED_HEURISTICS) -> list[dict]:
+    """Total monomial counts per ordering heuristic, with each ordering's
+    ``product_estimate``.
 
     Runs the standard-mode product to completion at the default branch
     limit, once per heuristic, and reports counts relative to the INPUT
@@ -361,6 +366,7 @@ def bench_orderings(p: Problem, heuristics=HEURISTICS) -> list[dict]:
             {
                 "heuristic": h,
                 "order": list(order),
+                "estimate": product_estimate(p, order),
                 "monomials": count,
                 "relative_percent": relative,
                 "error": error,
@@ -378,25 +384,18 @@ def _cmd_bench(args) -> int:
         if h not in HEURISTICS:
             raise ValueError("unknown heuristic %r" % (h,))
     rows = bench_orderings(p, heuristics)
+    auto = order_vertices(p, "AUTO").heuristic
     if args.json:
-        print(
-            json.dumps(
-                {"problem": {"name": p.name, "n": p.n, "m": p.m}, "rows": rows},
-                indent=2,
-            )
-        )
+        problem = {"name": p.name, "n": p.n, "m": p.m}
+        print(json.dumps({"problem": problem, "rows": rows, "auto": auto}, indent=2))
         return 0
-    print("%-10s %14s %10s" % ("heuristic", "monomials", "relative"))
+    print("%-10s %14s %14s %10s" % ("heuristic", "estimate", "monomials", "relative"))
     for row in rows:
-        if row["error"] is not None:
-            print("%-10s %14s %10s" % (row["heuristic"], "overflow", "-"))
-            continue
-        rel = (
-            "%.1f%%" % row["relative_percent"]
-            if row["relative_percent"] is not None
-            else "-"
-        )
-        print("%-10s %14d %10s" % (row["heuristic"], row["monomials"], rel))
+        count = "overflow" if row["error"] is not None else row["monomials"]
+        rel = row["relative_percent"]
+        rel = "-" if rel is None else "%.1f%%" % rel
+        print("%-10s %14d %14s %10s" % (row["heuristic"], row["estimate"], count, rel))
+    print("AUTO takes %s" % auto)
     return 0
 
 

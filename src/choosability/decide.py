@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .graphs import Problem, VertexOrdering, order_vertices, DEFAULT_HEURISTIC
+from .graphs import DEFAULT_HEURISTIC, Problem, VertexOrdering
+from .graphs import order_vertices, product_estimate
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
     CoefficientOverflow,
@@ -45,8 +46,9 @@ class Settings:
     The standard stage runs first; mode "standard" stops after it, and
     "pipeline" goes on to the later stages when it finds no witness.
     The matching prune acts on the standard stage.  Both caps must be at
-    least 1.  The heuristic and the branch limit are checked where they
-    are used, by ``order_vertices`` and ``run_truncated_product``.
+    least 1.  The heuristic defaults to AUTO, which picks an ordering per
+    problem; it and the branch limit are checked where they are used, by
+    ``order_vertices`` and ``run_truncated_product``.
     """
 
     mode: str = "pipeline"
@@ -421,6 +423,8 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
     """The stages of ``pipeline_decide``, filling ``details`` as they go;
     returns (status, certificate, reason)."""
     ordering = order_vertices(p, settings.heuristic)
+    estimate = product_estimate(p, ordering.order)
+    details["ordering"] = {"heuristic": ordering.heuristic, "estimate": estimate}
     try:
         witness, stats = standard_alon_tarsi(
             p, ordering, settings.branch_limit, settings.prune_matching

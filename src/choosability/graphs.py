@@ -6,9 +6,19 @@ import inspect
 from dataclasses import dataclass
 
 
-HEURISTICS = ("INPUT", "VSEP", "MD", "MD+PROC", "OVER", "LIST", "LIST+DEG", "MDR")
+FIXED_HEURISTICS = ("INPUT", "VSEP", "MD", "MD+PROC", "OVER", "LIST", "LIST+DEG", "MDR")
+HEURISTICS = FIXED_HEURISTICS + ("AUTO",)
 
-DEFAULT_HEURISTIC = "MD+PROC"
+DEFAULT_HEURISTIC = "AUTO"
+
+# The estimate past which AUTO leaves MD+PROC.  MD+PROC reads below 1e4 on
+# the 1,000 problems of the benchmark's `random` workload (seed 1), at most
+# 1.05e4 on `cliques`, 437 on the test corpora and 1.4e4 on grid-diag(4).
+# grid-diag(5) reads 4.4e5, and MDR's 2.9e5 would run 1.41x slower (0.169
+# against 0.120 s), so it keeps MD+PROC.  cycle-triangles(6) to (10) read
+# 1.4e6 to 9.2e9, and VSEP's 8e3 to 1.7e4 (34.3 M monomials to 29 k on
+# (8)).  Any limit in [1.1e4, 2.9e5) makes the same choices on these.
+AUTO_ESTIMATE_LIMIT = 10**5
 
 
 class ProblemFormatError(ValueError):
@@ -168,9 +178,22 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
     remaining degree; VSEP fewest unprocessed vertices touching the
     processed prefix after the pick, then smallest remaining degree.
     MDR is MD reversed.  All remaining ties pick the smallest original index.
+
+    AUTO keeps MD+PROC unless its ``product_estimate`` exceeds
+    ``AUTO_ESTIMATE_LIMIT`` and the smallest estimate of the other rules
+    (the first in ``HEURISTICS`` on a tie) does not; the ordering names
+    the rule used.
     """
     if heuristic not in HEURISTICS:
         raise ValueError("unknown heuristic %r" % heuristic)
+    if heuristic == "AUTO":
+        chosen = order_vertices(p, "MD+PROC")
+        if product_estimate(p, chosen.order) > AUTO_ESTIMATE_LIMIT:
+            others = [order_vertices(p, h) for h in FIXED_HEURISTICS if h != "MD+PROC"]
+            estimates = [product_estimate(p, o.order) for o in others]
+            if min(estimates) <= AUTO_ESTIMATE_LIMIT:
+                chosen = others[estimates.index(min(estimates))]
+        return chosen
     if heuristic == "INPUT":
         return VertexOrdering(tuple(range(p.n)), heuristic)
     if heuristic == "MDR":
@@ -179,30 +202,18 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
 
     adj = p.adjacency()
     remaining = set(range(p.n))
-    processed = set()
+    rem = [len(a) for a in adj]  # unprocessed neighbors
+    proc = [0] * p.n  # processed neighbors
+    fresh = [len(a) for a in adj]  # unprocessed, unmarked neighbors
     marked = set()  # remaining vertices with a processed neighbor
     order = []
-
-    def rem_deg(v):
-        return sum(1 for u in adj[v] if u in remaining)
-
-    def proc_nbrs(v):
-        return sum(1 for u in adj[v] if u in processed)
-
-    def vsep_after(v):
-        count = len(marked) - (1 if v in marked else 0)
-        count += sum(
-            1 for u in adj[v] if u in remaining and u != v and u not in marked
-        )
-        return count
-
     keys = {
-        "MD": lambda v: (rem_deg(v), v),
-        "MD+PROC": lambda v: (rem_deg(v), -proc_nbrs(v), v),
-        "OVER": lambda v: (rem_deg(v) - proc_nbrs(v), v),
-        "LIST": lambda v: (p.s[v], rem_deg(v), v),
-        "LIST+DEG": lambda v: (p.s[v] + rem_deg(v), v),
-        "VSEP": lambda v: (vsep_after(v), rem_deg(v), v),
+        "MD": lambda v: (rem[v], v),
+        "MD+PROC": lambda v: (rem[v], -proc[v], v),
+        "OVER": lambda v: (rem[v] - proc[v], v),
+        "LIST": lambda v: (p.s[v], rem[v], v),
+        "LIST+DEG": lambda v: (p.s[v] + rem[v], v),
+        "VSEP": lambda v: (len(marked) - (v in marked) + fresh[v], rem[v], v),
     }
     key = keys[heuristic]
 
@@ -210,12 +221,41 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
         v = min(remaining, key=key)
         order.append(v)
         remaining.discard(v)
-        processed.add(v)
-        marked.discard(v)
+        if v in marked:
+            marked.discard(v)
+        else:
+            for w in adj[v]:
+                fresh[w] -= 1
         for u in adj[v]:
-            if u in remaining:
+            rem[u] -= 1
+            proc[u] += 1
+            if u in remaining and u not in marked:
                 marked.add(u)
+                for w in adj[u]:
+                    fresh[w] -= 1
     return VertexOrdering(tuple(order), heuristic)
+
+
+def product_estimate(p: Problem, order) -> int:
+    """A cheap guess at the truncated product's size in this order: the
+    sum over the vertex turns of the product of s(v) over the frontier,
+    the processed vertices that still have an unprocessed neighbor."""
+    adj = p.adjacency()
+    unprocessed = [len(a) for a in adj]
+    done = [False] * p.n
+    frontier, total = 1, 0
+    for v in order:
+        done[v] = True
+        for u in adj[v]:
+            if done[u]:
+                unprocessed[u] -= 1
+                unprocessed[v] -= 1
+                if not unprocessed[u]:
+                    frontier //= p.s[u]
+        if unprocessed[v]:
+            frontier *= p.s[v]
+        total += frontier
+    return total
 
 
 def _glued_cliques(a: int, b: int, drop_last_edge: bool, name: str) -> Problem:

@@ -73,7 +73,11 @@ def merge2(keys_a, coeffs_a, keys_b, coeffs_b):
         same = keys[1:] == keys[:-1]
     else:
         keys = np.vstack((keys_a, keys_b))
-        order = np.lexsort(tuple(keys[:, w] for w in range(width - 1, -1, -1)))
+        # big-endian words viewed as one opaque field compare bytewise, as
+        # the word sequences do, so timsort merges the two runs
+        fields = keys.astype(">u8").view(np.dtype((np.void, 8 * width)))[:, 0]
+        order = np.argsort(fields, kind="stable")
+        del fields  # lowers the peak memory of the largest merges
         keys = keys[order]
         same = keys[1:, 0] == keys[:-1, 0]
         for w in range(1, width):

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: packing single keys by hand,
-a sortedness check on term lists, and a bounded-orientation count."""
+a sortedness check on term lists, a bounded-orientation count, and the
+greedy vertex orderings recounted from scratch at every pick."""
 
 import numpy as np
 
@@ -45,3 +46,40 @@ def count_bounded_orientations(p, caps) -> int:
     for v in range(p.n):
         ok &= ((codes >> (4 * v)) & 15) <= caps[v]
     return int(ok.sum())
+
+
+def greedy_order(p, heuristic) -> tuple[int, ...]:
+    """A greedy rule of ``order_vertices`` that counts each candidate's
+    neighbors anew at every pick."""
+    adj = p.adjacency()
+    remaining = set(range(p.n))
+    processed = set()
+    marked = set()  # remaining vertices with a processed neighbor
+
+    def rem_deg(v):
+        return sum(1 for u in adj[v] if u in remaining)
+
+    def proc_nbrs(v):
+        return sum(1 for u in adj[v] if u in processed)
+
+    def vsep_after(v):
+        count = len(marked) - (1 if v in marked else 0)
+        return count + sum(1 for u in adj[v] if u in remaining and u not in marked)
+
+    key = {
+        "MD": lambda v: (rem_deg(v), v),
+        "MD+PROC": lambda v: (rem_deg(v), -proc_nbrs(v), v),
+        "OVER": lambda v: (rem_deg(v) - proc_nbrs(v), v),
+        "LIST": lambda v: (p.s[v], rem_deg(v), v),
+        "LIST+DEG": lambda v: (p.s[v] + rem_deg(v), v),
+        "VSEP": lambda v: (vsep_after(v), rem_deg(v), v),
+    }[heuristic]
+    order = []
+    while remaining:
+        v = min(remaining, key=key)
+        order.append(v)
+        remaining.discard(v)
+        processed.add(v)
+        marked.discard(v)
+        marked.update(u for u in adj[v] if u in remaining)
+    return tuple(order)

@@ -24,8 +24,8 @@ from choosability import (
     poly,
 )
 from choosability.decide import MODES
-from choosability.graphs import format_problem, generate_family
-from choosability.graphs import parse_problem
+from choosability.graphs import FIXED_HEURISTICS, format_problem, generate_family
+from choosability.graphs import order_vertices, parse_problem, product_estimate
 from choosability.kernels import merge2
 from choosability.poly import CoefficientOverflow
 
@@ -112,17 +112,36 @@ def test_decide_standard_overflow_is_unknown(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert (report["verdict"], report["certificate"]) == ("UNKNOWN", None)
     assert report["reason"] == "Overflow"
-    assert list(report["details"]) == ["overflow"]
+    assert list(report["details"]) == ["ordering", "overflow"]
     assert report["details"]["overflow"].startswith("edge {")
 
 
 def test_decide_text_report_details(tmp_path, capsys):
     path = write_problem(tmp_path, fan())
-    _, out, _ = run_cli(capsys, ["decide", path])
+    _, out, _ = run_cli(capsys, ["decide", path, "--heuristic", "MD+PROC"])
     assert "constraint rank: 3" in out
     assert "constraint rows offered: 5" in out
     assert "deletable edges: [[2, 3]]" in out
     assert "config: mode=pipeline heuristic=MD+PROC branch-limit=100000" in out
+
+
+@pytest.mark.parametrize(
+    "family, params, used",
+    [("cycle-triangles", (8,), "VSEP"), ("glued-cliques", (2, 3), "MD+PROC")],
+)
+def test_decide_reports_the_ordering_it_used(tmp_path, capsys, family, params, used):
+    p = generate_family(family, *params)
+    path = write_problem(tmp_path, p)
+    _, out, _ = run_cli(capsys, ["decide", path, "--json"])
+    report = json.loads(out)
+    assert report["config"]["heuristic"] == "AUTO"
+    assert report["details"]["ordering"] == {
+        "heuristic": used,
+        "estimate": product_estimate(p, order_vertices(p, used).order),
+    }
+    _, out, _ = run_cli(capsys, ["decide", path])
+    estimate = report["details"]["ordering"]["estimate"]
+    assert "ordering: %s estimate=%d" % (used, estimate) in out.splitlines()
 
 
 def test_decide_reads_stdin(monkeypatch, capsys):
@@ -341,7 +360,8 @@ def test_coefficients_json_shape(tmp_path, capsys):
     p = Problem(n=2, s=(1, 1), edges=((0, 1),), name="edge")
     path = write_problem(tmp_path, p)
     code, out, _ = run_cli(
-        capsys, ["coefficients", path, "--mode", "extended", "--json"]
+        capsys,
+        ["coefficients", path, "--mode", "extended", "--heuristic", "MD+PROC", "--json"],
     )
     assert code == 0
     report = json.loads(out)
@@ -468,11 +488,14 @@ def test_bench_input_baseline(tmp_path, capsys):
         capsys, ["bench", path, "--heuristics", "INPUT,MD", "--json"]
     )
     assert code == 0
-    rows = json.loads(out)["rows"]
+    report = json.loads(out)
+    rows = report["rows"]
     assert [row["heuristic"] for row in rows] == ["INPUT", "MD"]
     assert rows[0]["relative_percent"] == 100.0
     assert all(row["monomials"] > 0 for row in rows)
     assert all(row["error"] is None for row in rows)
+    assert all(row["estimate"] == product_estimate(cycle(5), row["order"]) for row in rows)
+    assert report["auto"] == "MD+PROC"
 
 
 def test_bench_text_table(tmp_path, capsys):
@@ -480,9 +503,24 @@ def test_bench_text_table(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["bench", path])
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split() == ["heuristic", "monomials", "relative"]
-    for name in ("INPUT", "VSEP", "MD+PROC"):
-        assert any(line.startswith(name) for line in lines[1:])
+    assert lines[0].split() == ["heuristic", "estimate", "monomials", "relative"]
+    # AUTO is named, not run: its ordering is one of the eight
+    assert [line.split()[0] for line in lines[1:-1]] == list(FIXED_HEURISTICS)
+    assert lines[-1] == "AUTO takes MD+PROC"
+
+
+def test_bench_names_the_ordering_auto_takes(tmp_path, capsys):
+    p = generate_family("cycle-triangles", 6)
+    path = write_problem(tmp_path, p)
+    code, out, _ = run_cli(
+        capsys, ["bench", path, "--heuristics", "VSEP,MD+PROC", "--json"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    rows = {row["heuristic"]: row for row in report["rows"]}
+    assert (rows["VSEP"]["estimate"], rows["MD+PROC"]["estimate"]) == (7978, 1395022)
+    assert rows["VSEP"]["monomials"] < rows["MD+PROC"]["monomials"]
+    assert report["auto"] == "VSEP"
 
 
 @pytest.mark.parametrize("names", [",", "", " , "])

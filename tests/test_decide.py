@@ -567,10 +567,10 @@ def test_pipeline_standard_mode_stops_after_the_standard_stage():
         "f": [1, 1, 1, 1],
         "coefficient": -2,
     }
-    assert set(hit.details) == {"standard_stats"}
+    assert set(hit.details) == {"ordering", "standard_stats"}
     miss = pipeline_decide(cycle(5), mode="standard")
     assert (miss.status, miss.certificate, miss.reason) == (UNKNOWN, None, "NoWitness")
-    assert set(miss.details) == {"standard_stats"}
+    assert set(miss.details) == {"ordering", "standard_stats"}
 
 
 def test_pipeline_rejects_unknown_mode():
@@ -682,7 +682,10 @@ def test_pipeline_overflow_is_reported(monkeypatch):
     verdict = pipeline_decide(cycle(4))
     assert verdict.status == UNKNOWN
     assert verdict.reason == "Overflow"
-    assert verdict.details == {"overflow": "forced"}
+    assert verdict.details == {
+        "ordering": {"heuristic": "MD+PROC", "estimate": 11},
+        "overflow": "forced",
+    }
 
 
 def test_pipeline_reports_no_feasible_vectors(monkeypatch):
@@ -747,6 +750,18 @@ def test_verdicts_do_not_depend_on_the_ordering_heuristic():
     for p in coefficient_corpus() + agreement_corpus():
         statuses = {pipeline_decide(p, heuristic=h).status for h in HEURISTICS}
         assert len(statuses) == 1, (p, statuses)
+
+
+@pytest.mark.parametrize("params, branch_limit", [((8,), None), ((12,), 10**5)])
+def test_default_ordering_keeps_cycle_triangles_small(params, branch_limit):
+    # under MD+PROC these make 34.3 M monomials and more
+    p = generate_family("cycle-triangles", *params)
+    verdict = pipeline_decide(p, mode="standard", branch_limit=branch_limit)
+    assert verdict.details["ordering"]["heuristic"] == "VSEP"
+    assert verdict.details["standard_stats"]["total_monomials"] < 10**5
+    assert verdict.status == CHOOSABLE
+    f = verdict.certificate["f"]
+    assert all(fv < sv for fv, sv in zip(f, p.s)) and sum(f) == p.m
 
 
 def test_glued_cliques_3_5_is_refuted_at_paper_scale():

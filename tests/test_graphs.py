@@ -1,6 +1,11 @@
 """Problem parsing, formatting, orderings, and generator families."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choosability import (
     FAMILIES,
@@ -12,8 +17,11 @@ from choosability import (
     order_vertices,
     parse_problem,
 )
+from choosability import graphs
+from choosability.graphs import product_estimate
 
-from _examples import cycle, fan, path3
+from _examples import agreement_corpus, coefficient_corpus, cycle, fan, path3
+from _references import greedy_order
 
 
 def test_parse_round_trip():
@@ -104,6 +112,79 @@ def test_processed_neighbor_tiebreak():
     kite = Problem(n=4, s=(2, 2, 2, 2), edges=((0, 1), (0, 2), (1, 2), (2, 3)))
     assert order_vertices(kite, "MD").order == (3, 0, 1, 2)
     assert order_vertices(kite, "MD+PROC").order == (3, 2, 0, 1)
+
+
+def _rescanned_estimate(p, order):
+    """product_estimate by its definition: each turn's frontier found by
+    scanning the whole processed prefix."""
+    adj = p.adjacency()
+    total = 0
+    for t in range(1, p.n + 1):
+        prefix = set(order[:t])
+        total += math.prod(p.s[v] for v in prefix if adj[v] - prefix)
+    return total
+
+
+@st.composite
+def _ordered_problems(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = []
+    if pairs:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16))
+    s = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return Problem(n=n, s=tuple(s), edges=tuple(sorted(edges))), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ordered_problems())
+def test_product_estimate_matches_a_rescan_of_each_prefix(case):
+    p, order = case
+    assert product_estimate(p, order) == _rescanned_estimate(p, order)
+
+
+_GREEDY = ("MD", "MD+PROC", "OVER", "LIST", "LIST+DEG", "VSEP")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ordered_problems(), st.sampled_from(_GREEDY))
+def test_greedy_orders_match_a_recount_at_every_pick(case, heuristic):
+    p, _ = case
+    assert order_vertices(p, heuristic).order == greedy_order(p, heuristic)
+
+
+def test_auto_keeps_the_md_proc_ordering_on_both_corpora():
+    for p in coefficient_corpus() + agreement_corpus():
+        assert order_vertices(p, "AUTO") == order_vertices(p, "MD+PROC"), p
+
+
+@pytest.mark.parametrize(
+    "family, params, used",
+    [
+        ("cycle-triangles", (8,), "VSEP"),
+        ("cycle-triangles", (12,), "VSEP"),
+        ("grid-diag", (4,), "MD+PROC"),
+        # MDR's estimate is the smallest, but above the limit
+        ("grid-diag", (5,), "MD+PROC"),
+    ],
+)
+def test_auto_names_the_heuristic_it_used(family, params, used):
+    p = generate_family(family, *params)
+    ordering = order_vertices(p, "AUTO")
+    assert ordering == order_vertices(p, used)
+    assert ordering.heuristic == used
+
+
+@pytest.mark.parametrize("limit, used", [(2000, "OVER"), (1000, "MD+PROC")])
+def test_auto_breaks_ties_in_heuristic_order_within_the_limit(monkeypatch, limit, used):
+    # grid-diag(3): MD+PROC 3,595; OVER and MDR tie at 1,543, the smallest
+    p = generate_family("grid-diag", 3)
+    estimates = {h: product_estimate(p, order_vertices(p, h).order) for h in HEURISTICS}
+    assert estimates["MD+PROC"] == 3595
+    assert estimates["OVER"] == estimates["MDR"] == min(estimates.values()) == 1543
+    monkeypatch.setattr(graphs, "AUTO_ESTIMATE_LIMIT", limit)
+    assert order_vertices(p, "AUTO").heuristic == used
 
 
 def test_list_size_order_prefers_small_lists():

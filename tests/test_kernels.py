@@ -42,7 +42,8 @@ def test_merge2_flags_int64_min():
 
 # keys spread over the whole unsigned range, drawn from a small pool so
 # that the two runs share keys; coefficients near the int64 limits
-_KEYS = st.sets(st.integers(0, 30).map(lambda x: x * (2**64 // 31)), max_size=12)
+_WORD = st.integers(0, 30).map(lambda x: x * (2**64 // 31))
+_KEYS = st.sets(_WORD, max_size=12)
 _COEFFS = st.one_of(
     st.integers(-3, 3).filter(bool),
     st.sampled_from([2**62, -(2**62), INT64_MAX, INT64_MIN + 1, INT64_MIN, -1, 1]),
@@ -63,20 +64,37 @@ def _wrap(c):
     return (c + 2**63) % 2**64 - 2**63
 
 
-def _reference_merge(ka, ca, kb, cb):
-    """The merge over Python ints: sums wrap like int64, and a pair whose
-    exact sum is not in (INT64_MIN, INT64_MAX] flags overflow."""
-    terms = dict(zip(ka[:, 0].tolist(), ca.tolist()))
+def _combined(ka, ca, kb, cb):
+    """The terms of both runs by key (a tuple of words), summed over
+    Python ints: sums wrap like int64, and a pair whose exact sum is not
+    in (INT64_MIN, INT64_MAX] flags overflow.  Zero sums are dropped."""
+    terms = dict(zip(map(tuple, ka.tolist()), ca.tolist()))
     overflow = False
-    for key, c in zip(kb[:, 0].tolist(), cb.tolist()):
+    for key, c in zip(map(tuple, kb.tolist()), cb.tolist()):
         if key in terms:
             exact = terms[key] + c
             overflow |= not INT64_MIN < exact <= INT64_MAX
             terms[key] = _wrap(exact)
         else:
             terms[key] = c
-    kept = sorted((k, c) for k, c in terms.items() if c != 0)
-    return [k for k, _ in kept], [c for _, c in kept], overflow
+    return {k: c for k, c in terms.items() if c != 0}, overflow
+
+
+def _reference_merge(ka, ca, kb, cb):
+    """The single-word merge over Python ints."""
+    terms, overflow = _combined(ka, ca, kb, cb)
+    kept = sorted(terms.items())
+    return [k for (k,), _ in kept], [c for _, c in kept], overflow
+
+
+def _lexsort_merge(ka, ca, kb, cb):
+    """The multi-word merge over Python ints, in np.lexsort order with
+    word 0 most significant."""
+    terms, overflow = _combined(ka, ca, kb, cb)
+    keys = np.array(list(terms), dtype=np.uint64).reshape(-1, ka.shape[1])
+    order = np.lexsort(keys.T[::-1])
+    coeffs = list(terms.values())
+    return keys[order].tolist(), [coeffs[i] for i in order], overflow
 
 
 @given(_term_run(), _term_run())
@@ -95,6 +113,34 @@ def test_merge2_single_word_path_matches_lexsort_path(run_a, run_b):
     assert overflow2 == overflow
     expected = _reference_merge(ka, ca, kb, cb)
     assert (keys[:, 0].tolist(), coeffs.tolist(), overflow) == expected
+
+
+@st.composite
+def _wide_term_runs(draw):
+    """Two runs of keys of 2 or 3 words; the high words come from a pool
+    of three, so many keys differ only in their low word."""
+    width = draw(st.sampled_from([2, 3]))
+    high = st.sampled_from([0, 1, 2**64 - 1])
+    word = st.tuples(*[high] * (width - 1), _WORD)
+    runs = []
+    for _ in range(2):
+        keys = sorted(draw(st.sets(word, max_size=12)))
+        coeffs = [draw(_COEFFS) for _ in keys]
+        runs.append((
+            np.array(keys, dtype=np.uint64).reshape(-1, width),
+            np.array(coeffs, dtype=np.int64),
+        ))
+    return runs
+
+
+@given(_wide_term_runs())
+@settings(max_examples=400, deadline=None)
+def test_merge2_multi_word_path_matches_lexsort(runs):
+    (ka, ca), (kb, cb) = runs
+    keys, coeffs, overflow = merge2(ka, ca, kb, cb)
+    assert keys.shape == (len(coeffs), ka.shape[1])
+    assert keys.dtype == np.uint64 and coeffs.dtype == np.int64
+    assert (keys.tolist(), coeffs.tolist(), overflow) == _lexsort_merge(ka, ca, kb, cb)
 
 
 def _layout_and_terms(entries, marked=True):
