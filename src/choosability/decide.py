@@ -1,23 +1,27 @@
 """Decision procedures built on truncated product runs.
 
-The standard test looks for any surviving monomial of full degree; its
-existence certifies choosability.  The extended path keeps tight-marker
-terms, turns every group with a common degree base into a linear
-constraint on the 0/1 characteristic vectors of colors, and works through
-feasible vectors and deletable edges to candidate list assignments.
-Each assignment goes to the coloring search as the pattern search finds
-it, and the first one that cannot be colored ends the search.
+Exact reductions delete vertices whose lists are too long or single,
+split the rest into components and refute Gallai trees.  On what is
+left, the standard test looks for any surviving monomial of full
+degree, which certifies choosability.  The extended path keeps
+tight-marker terms, turns every group with a common degree base into a
+linear constraint on the 0/1 characteristic vectors of colors, and
+works through feasible vectors and deletable edges to candidate list
+assignments.  Each goes to the coloring search as the pattern search
+finds it, and the first one that cannot be colored ends the search.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import oracle
 from .graphs import DEFAULT_HEURISTIC, Problem, VertexOrdering
-from .graphs import order_vertices, product_estimate
+from .graphs import blocks, order_vertices, product_estimate
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
     CoefficientOverflow,
@@ -185,25 +189,21 @@ class _FirstTermSink:
 
 
 class _ConstraintSink:
-    """Accumulates constraint rows; stops on a full-degree witness or
-    once the rows already pin every characteristic vector to zero.
+    """Accumulates constraint rows; stops once the rows already pin every
+    characteristic vector to zero.
 
     Each tight group (marked terms sharing one degree base) gives a row;
     the marker is the lowest field, so a group's terms are consecutive.
+    Unmarked terms, which the standard stage finds first, are skipped.
     """
 
     def __init__(self, n: int):
         self.basis = ConstraintBasis(n)
-        self.witness = None
 
     def __call__(self, layout, terms):
         degrees, markers, coeffs = unpack_terms(layout, terms)
-        plain = np.flatnonzero(markers < 0)
-        if len(plain):
-            # last = largest key; invariant across branch limits
-            last = plain[-1]
-            self.witness = (tuple(int(x) for x in degrees[last]), int(coeffs[last]))
-            return True
+        marked = markers >= 0
+        degrees, markers, coeffs = degrees[marked], markers[marked], coeffs[marked]
         starts = np.ones(len(coeffs), dtype=bool)
         starts[1:] = np.any(degrees[1:] != degrees[:-1], axis=1)
         rows = np.zeros((np.count_nonzero(starts), layout.problem.n), dtype=np.int64)
@@ -237,18 +237,15 @@ def collect_constraints(
     ordering: VertexOrdering | None = None,
     branch_limit: int | None = DEFAULT_BRANCH_LIMIT,
 ):
-    """Run the tight-marker product and gather independent constraint rows.
-
-    Returns (basis, witness, stats); witness is a full-degree monomial
-    (f, coefficient) that makes the rows unnecessary, or None.
-    """
+    """Run the tight-marker product; returns (basis, stats), the basis of
+    the independent constraint rows it gave."""
     if ordering is None:
         ordering = order_vertices(p, DEFAULT_HEURISTIC)
     sink = _ConstraintSink(p.n)
     _, stats = run_truncated_product(
         p, ordering, mode="extended", branch_limit=branch_limit, sink=sink
     )
-    return sink.basis, sink.witness, stats
+    return sink.basis, stats
 
 
 def enumerate_feasible_vectors(
@@ -403,25 +400,141 @@ def _stats_json(stats: RunStats):
 def pipeline_decide(p: Problem, **settings) -> Verdict:
     """Full decision pipeline under ``Settings(**settings)``.
 
+    Exact reductions run first, in both modes, and the stages run on what
+    they leave (``_reduce_and_run``).
+
     Stages: the standard test, after which mode "standard" stops; then
-    constraint collection (with its own witness short-circuit);
-    feasible-vector enumeration; deletable-edge detection; and one
-    pattern stage, which colors each candidate assignment as the search
-    finds it and stops at the first that cannot be colored.  The pattern
-    cap bounds the assignments colored: a search that needs more ends
-    UNKNOWN ``TooManyPatterns``.  Any stage that cannot finish
-    downgrades the verdict to UNKNOWN with the partial findings kept in
-    ``details``.
+    constraint collection; feasible-vector enumeration; deletable-edge
+    detection; and one pattern stage, which colors each candidate
+    assignment as the search finds it and stops at the first that
+    cannot be colored.  The pattern cap bounds the assignments colored:
+    a search that needs more ends UNKNOWN ``TooManyPatterns``.  Any
+    stage that cannot finish downgrades the verdict to UNKNOWN with the
+    partial findings kept in ``details``.
     """
     settings = Settings(**settings)
     details: dict = {}
-    status, certificate, reason = _run_stages(p, settings, details)
+    status, certificate, reason = _reduce_and_run(p, settings, details)
     return Verdict(status, certificate, reason, details)
+
+
+def _reduce(p: Problem):
+    """R1 and R2 to a fixpoint, or until R2 empties a list: the adjacency,
+    list sizes and vertices left, and the deletions as (rule, v, its
+    neighbours, s(v))."""
+    adj, s, live = p.adjacency(), list(p.s), set(range(p.n))
+    steps, heap = [], list(range(p.n))
+    while heap:
+        v = heapq.heappop(heap)
+        rule = "R1" if s[v] > len(adj[v]) else "R2" if s[v] == 1 else None
+        if rule is None or v not in live:
+            continue
+        steps.append((rule, v, sorted(adj[v]), s[v]))
+        live.discard(v)
+        for u in adj[v]:  # a deleted vertex keeps its last neighbours
+            adj[u].discard(v)
+            s[u] -= rule == "R2"
+            heapq.heappush(heap, u)
+        if rule == "R2" and 0 in (s[u] for u in adj[v]):
+            break
+    return adj, s, live, steps
+
+
+def _gallai_colors(adj, s, found):
+    """Uncolorable lists, (vertex set, multiplicity) pairs, of a component
+    whose blocks ``found`` are all cliques or odd cycles, else None: each
+    block B gets |B| - 1 or 2 colors of its own, deg(v) in all at each v
+    (Erdos, Rubin, Taylor 1979; Borodin 1977), then v keeps its first s(v)."""
+    colors = []
+    for block in found:
+        k, edges = len(block), sum(len(adj[v].intersection(block)) for v in block) // 2
+        clique = edges == k * (k - 1) // 2
+        if not clique and not (k % 2 and edges == k):
+            return None
+        colors += [set(block) for _ in range(k - 1 if clique else 2)]
+    for v in set().union(*found):
+        for color in [c for c in colors if v in c][s[v]:]:
+            color.discard(v)
+    return list(Counter(frozenset(c) for c in colors if c).items())
+
+
+def _lift_bad(n: int, colors, vs, live, s, steps):
+    """A BadAssignment on the input graph from uncolorable lists of the
+    component on ``vs``: other live vertices get colors of their own, and
+    each deletion undone, last first, adds R2's one color on v and its
+    neighbours or R1's s(v) on v alone."""
+    colors = colors + [({w}, s[w]) for w in sorted(live.difference(vs)) if s[w]]
+    for rule, v, nbrs, size in reversed(steps):
+        colors.append(({v, *nbrs}, 1) if rule == "R2" else ({v}, size))
+    pattern = [([int(v in c) for v in range(n)], mult) for c, mult in colors]
+    return {"kind": "BadAssignment", "pattern": _pattern_json(pattern)}
+
+
+def _reduce_and_run(p: Problem, settings: Settings, details: dict):
+    """The reductions (README, "Reductions"), then the stages on each
+    component left until one is refuted; returns (status, certificate,
+    reason), the certificate lifted back to p."""
+    adj, s, live, steps = _reduce(p)
+    refuted = 0 in (s[v] for v in live)
+    parts = [] if refuted else blocks(adj, live)
+    gallai = next(((vs, c) for vs, b in parts if (c := _gallai_colors(adj, s, b))), None)
+    if not steps and len(parts) == 1 and gallai is None:
+        return _run_stages(p, settings, details)
+    rules = Counter(rule for rule, *_ in steps)
+    decided_by = "R2" if refuted else "R4" if gallai else "stages" if parts else "R1/R2"
+    details["reductions"] = {"R1": rules["R1"], "R2": rules["R2"], "R4": int(bool(gallai)),
+                             "components": len(parts), "decided_by": decided_by}
+    if refuted or gallai:
+        vs, colors = gallai or ([], [])
+        return NOT_CHOOSABLE, _lift_bad(p.n, colors, vs, live, s, steps), None
+
+    runs = []
+    for vs, _ in parts:
+        run_details: dict = {}
+        result = _run_stages(p.induced(vs, s), settings, run_details)
+        runs.append((vs, *result, run_details))
+        if runs[-1][1] == NOT_CHOOSABLE:
+            break
+    if runs:
+        # the refuted run, else the first UNKNOWN, else the first without a witness
+        vs, status, cert, reason, run_details = min(runs, key=lambda run: (
+            run[1] != NOT_CHOOSABLE, run[1] != UNKNOWN,
+            (run[2] or {}).get("kind") == "WitnessMonomial",
+        ))
+        details.update(run_details)
+        if "deletable_edges" in details:
+            edges = details["deletable_edges"]
+            details["deletable_edges"] = [[vs[a], vs[b]] for a, b in edges]
+        for key in ("standard_stats", "extended_stats"):
+            stats = [run[-1][key] for run in runs if key in run[-1]]
+            if stats:
+                details[key] = {k: sum(x[k] for x in stats) for k in stats[0]}
+        if status == NOT_CHOOSABLE:
+            colors = [({vs[i] for i, x in enumerate(c["vector"]) if x}, c["multiplicity"])
+                      for c in cert["pattern"]]
+            return status, _lift_bad(p.n, colors, vs, live, s, steps), None
+        if status == UNKNOWN or cert["kind"] != "WitnessMonomial":
+            return status, cert and dict(cert, vertices=vs), reason
+
+    # every component gave a witness; side by side they multiply
+    f, coeff = [0] * p.n, 1
+    for vs, _, cert, _, _ in runs:
+        for v, x in zip(vs, cert["f"]):
+            f[v] = x
+        coeff *= cert["coefficient"]
+    # R1's edges all leave v, R2's enter it; each low-to-high one flips the sign
+    for rule, v, nbrs, _ in reversed(steps):
+        f[v] = len(nbrs) if rule == "R1" else 0
+        for u in nbrs:
+            f[u] += rule == "R2"
+        coeff *= (-1) ** sum((u > v) == (rule == "R1") for u in nbrs)
+    return CHOOSABLE, {"kind": "WitnessMonomial", "f": f, "coefficient": coeff}, None
 
 
 def _run_stages(p: Problem, settings: Settings, details: dict):
     """The stages of ``pipeline_decide``, filling ``details`` as they go;
-    returns (status, certificate, reason)."""
+    returns (status, certificate, reason).  No list may be longer than
+    its vertex's degree, as after R1."""
     ordering = order_vertices(p, settings.heuristic)
     estimate = product_estimate(p, ordering.order)
     details["ordering"] = {"heuristic": ordering.heuristic, "estimate": estimate}
@@ -430,19 +543,17 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
             p, ordering, settings.branch_limit, settings.prune_matching
         )
         details["standard_stats"] = _stats_json(stats)
-        if witness is None and settings.mode != "standard":
-            basis, witness, stats = collect_constraints(p, ordering, settings.branch_limit)
-            details["extended_stats"] = _stats_json(stats)
+        if witness is not None:
+            f, coeff = witness
+            cert = {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff}
+            return CHOOSABLE, cert, None
+        if settings.mode == "standard":
+            return UNKNOWN, None, "NoWitness"
+        basis, stats = collect_constraints(p, ordering, settings.branch_limit)
+        details["extended_stats"] = _stats_json(stats)
     except CoefficientOverflow as exc:
         details["overflow"] = str(exc)
         return UNKNOWN, None, "Overflow"
-
-    if witness is not None:
-        f, coeff = witness
-        cert = {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff}
-        return CHOOSABLE, cert, None
-    if settings.mode == "standard":
-        return UNKNOWN, None, "NoWitness"
 
     details["constraint_rank"] = basis.rank
     details["constraint_rows_offered"] = basis.offered
@@ -460,11 +571,6 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
 
     details["deletable_edges"] = [list(e) for e in find_deletable_edges(nonzero, p)]
 
-    # With n + 1 >= deg(v) + 2 colors or more, v is never truncated or
-    # marked in the product, so the rows hold for any list that long, and
-    # v can always be colored last.  So longer lists are searched at that
-    # length, and a bad pattern gets the rest of each as colors of its own.
-    sizes = [min(x, p.n + 1) for x in p.s]
     color = oracle.pattern_colorer(p)
     bad = []
 
@@ -476,18 +582,13 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
 
     try:
         patterns = enumerate_assignment_patterns(
-            nonzero, sizes, settings.pattern_cap, stop=uncolorable
+            nonzero, p.s, settings.pattern_cap, stop=uncolorable
         )
     except PatternCapExceeded:
         return UNKNOWN, None, "TooManyPatterns"
     details["pattern_count"] = len(patterns)
     if bad:
-        pattern = bad[0] + tuple(
-            (tuple(int(u == v) for u in range(p.n)), x - k)
-            for v, (x, k) in enumerate(zip(p.s, sizes))
-            if x > k
-        )
-        cert = {"kind": "BadAssignment", "pattern": _pattern_json(pattern)}
+        cert = {"kind": "BadAssignment", "pattern": _pattern_json(bad[0])}
         return NOT_CHOOSABLE, cert, None
     if not patterns:
         return CHOOSABLE, {"kind": "NoComposition"}, None

@@ -50,6 +50,8 @@ class Problem:
         for v, sv in enumerate(self.s):
             if sv < 1:
                 raise ProblemFormatError("list size of vertex %d must be >= 1" % v)
+            if sv.bit_length() > 64:
+                raise ProblemFormatError("list size %d does not fit in a 64-bit field" % sv)
         norm = []
         seen = set()
         for u, v in self.edges:
@@ -81,6 +83,13 @@ class Problem:
             adj[u].add(v)
             adj[v].add(u)
         return adj
+
+    def induced(self, vertices, s) -> "Problem":
+        """The subgraph on ascending ``vertices``, lists s[v], renumbered in
+        order: that keeps every edge's orientation."""
+        index = {v: i for i, v in enumerate(vertices)}
+        edges = tuple((index[u], index[v]) for u, v in self.edges if {u, v} <= index.keys())
+        return Problem(len(vertices), tuple(s[v] for v in vertices), edges, self.name)
 
     def without_edges(self, removed) -> "Problem":
         gone = {(min(u, v), max(u, v)) for u, v in removed}
@@ -256,6 +265,39 @@ def product_estimate(p: Problem, order) -> int:
             frontier *= p.s[v]
         total += frontier
     return total
+
+
+def blocks(adj, vertices) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """The components of the graph on ``vertices`` (``adj`` names no other
+    vertex) by lowest vertex, each as its vertices and its blocks, maximal
+    2-connected subgraphs and bridges, all ascending.  Hopcroft and
+    Tarjan's walk, on explicit stacks so a long cycle needs no recursion."""
+    disc, low, out = {}, {}, []
+    for root in sorted(vertices):
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack, found, walk = [root], [], [(root, -1, iter(sorted(adj[root])))]
+        while walk:
+            v, parent, nbrs = walk[-1]
+            for w in nbrs:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append(w)
+                    walk.append((w, v, iter(sorted(adj[w]))))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], disc[w])
+            else:
+                walk.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        cut = stack.index(v)
+                        found.append(tuple(sorted(stack[cut:] + [parent])))
+                        del stack[cut:]
+        out.append((sorted({root}.union(*found)), sorted(found)))
+    return out
 
 
 def _glued_cliques(a: int, b: int, drop_last_edge: bool, name: str) -> Problem:

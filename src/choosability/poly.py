@@ -52,9 +52,7 @@ class DegreeLayout:
         self.ordering = ordering
         n = problem.n
         order = ordering.order
-        self.bits = max(problem.s).bit_length()
-        if self.bits > 64:
-            raise ValueError("list size %d does not fit in a 64-bit field" % max(problem.s))
+        self.bits = max(problem.s).bit_length()  # at most 64, as Problem checks
         per_word = 64 // self.bits
         self.field_mask = (1 << self.bits) - 1
 

@@ -45,6 +45,26 @@ def wheel_extension():
     return Problem(n=8, s=(5, 3, 3, 3, 2, 2, 2, 2), edges=edges, name="wheel-ext")
 
 
+def k33(size=2):
+    # K_{3,3}; with lists of 2 it is not choosable, and the product gives
+    # neither a witness nor a constraint row
+    edges = tuple((a, b) for a in range(3) for b in range(3, 6))
+    return Problem(n=6, s=(size,) * 6, edges=edges, name="k33")
+
+
+def diamond():
+    # K4 minus the edge {1, 3}, lists of 2: the first candidate pattern is bad
+    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
+    return Problem(n=4, s=(2, 2, 2, 2), edges=edges, name="diamond")
+
+
+def second_pattern_bad():
+    # lists of 2 and one of 3, no deletable edge: the first candidate
+    # pattern colors and the second is bad
+    edges = ((0, 2), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4), (3, 4), (4, 5))
+    return Problem(n=6, s=(2, 2, 2, 2, 3, 2), edges=edges, name="q")
+
+
 def as_masks(vectors):
     """The masks of 0/1 vectors, bit v set when vec[v] = 1."""
     return [sum(x << v for v, x in enumerate(vec)) for vec in vectors]

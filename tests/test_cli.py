@@ -29,7 +29,7 @@ from choosability.graphs import order_vertices, parse_problem, product_estimate
 from choosability.kernels import merge2
 from choosability.poly import CoefficientOverflow
 
-from _examples import complete, cycle, fan
+from _examples import complete, cycle, diamond, fan, k33, second_pattern_bad
 
 
 def write_problem(tmp_path, p):
@@ -68,7 +68,7 @@ def test_decide_standard_witness(tmp_path, capsys):
 
 
 def test_decide_standard_miss_is_unknown(tmp_path, capsys):
-    path = write_problem(tmp_path, cycle(5))
+    path = write_problem(tmp_path, k33())
     code, out, _ = run_cli(capsys, ["decide", path, "--mode", "standard"])
     assert code == 2
     assert "verdict: UNKNOWN" in out
@@ -76,10 +76,20 @@ def test_decide_standard_miss_is_unknown(tmp_path, capsys):
 
 
 def test_decide_no_constraints_is_unknown(tmp_path, capsys):
-    path = write_problem(tmp_path, complete(3, 1))
+    path = write_problem(tmp_path, k33())
     code, out, _ = run_cli(capsys, ["decide", path])
     assert code == 2
     assert "reason: NoConstraints" in out
+
+
+def test_decide_singleton_triangle_is_refuted_by_a_reduction(tmp_path, capsys):
+    p = complete(3, 1)
+    path = write_problem(tmp_path, p)
+    code, out, _ = run_cli(capsys, ["decide", path])
+    assert code == 1
+    assert "  vector [1, 1, 1] x1" in out.splitlines()
+    assert "reductions: R1=0 R2=1 R4=0 components=0 decided_by=R2" in out.splitlines()
+    assert brute_force_choosable(p)[0] is False
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -127,7 +137,7 @@ def test_decide_text_report_details(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "family, params, used",
-    [("cycle-triangles", (8,), "VSEP"), ("glued-cliques", (2, 3), "MD+PROC")],
+    [("cycle-triangles", (8,), "VSEP"), ("glued-cliques-minus-edge", (2, 4), "MD+PROC")],
 )
 def test_decide_reports_the_ordering_it_used(tmp_path, capsys, family, params, used):
     p = generate_family(family, *params)
@@ -171,17 +181,17 @@ def _bad_pattern(report):
 
 
 def test_decide_pattern_cap_flag(tmp_path, capsys):
-    # p112's first pattern is bad, so cap 1 is enough to refute it
-    p112 = Problem(n=3, s=(1, 1, 2), edges=((0, 1), (1, 2)), name="p112")
-    path = write_problem(tmp_path, p112)
+    # the diamond's first pattern is bad, so cap 1 is enough to refute it
+    first = diamond()
+    path = write_problem(tmp_path, first)
     code, out, _ = run_cli(capsys, ["decide", path, "--pattern-cap", "1", "--json"])
     assert code == 1
     report = json.loads(out)
-    assert color_from_pattern(p112, _bad_pattern(report)) is None
-    assert brute_force_choosable(p112)[0] is False
+    assert color_from_pattern(first, _bad_pattern(report)) is None
+    assert brute_force_choosable(first)[0] is False
     assert report["details"]["pattern_count"] == 1
     # here the first pattern colors and the second is bad
-    p = Problem(n=4, s=(1, 1, 2, 3), edges=((0, 3), (1, 2), (1, 3), (2, 3)), name="q")
+    p = second_pattern_bad()
     path = write_problem(tmp_path, p)
     code, out, _ = run_cli(capsys, ["decide", path, "--pattern-cap", "1"])
     assert code == 2
@@ -195,22 +205,25 @@ def test_decide_pattern_cap_flag(tmp_path, capsys):
 
 
 def test_decide_feasible_cap_flag(tmp_path, capsys):
-    path = write_problem(tmp_path, cycle(5))
+    path = write_problem(tmp_path, fan())
     code, out, _ = run_cli(capsys, ["decide", path, "--feasible-cap", "4"])
     assert code == 2
     assert "reason: FeasibleSearchTooLarge" in out
 
 
 def test_decide_feasible_scan_too_large_to_allocate_is_unknown(tmp_path, capsys):
-    # 2^49 bytes exceed the x86-64 user address space, so the scan's first
-    # array fails to allocate at once and touches no memory
-    path = write_problem(tmp_path, cycle(49))
+    # 2^50 bytes exceed the x86-64 user address space, so the scan's first
+    # array fails to allocate at once and touches no memory.  A 49-cycle
+    # with an ear of length 2 on one edge, lists of 2: no reduction
+    # applies, and the product leaves one constraint row.
+    edges = cycle(49).edges + ((0, 49), (1, 49))
+    path = write_problem(tmp_path, Problem(n=50, s=(2,) * 50, edges=edges, name="theta"))
     code, out, err = run_cli(capsys, ["decide", path, "--feasible-cap", "60", "--json"])
     assert (code, err) == (2, "")
     report = json.loads(out)
     assert report["verdict"] == "UNKNOWN"
     assert report["reason"] == "FeasibleSearchTooLarge"
-    assert report["details"]["constraint_rank"] == 48
+    assert report["details"]["constraint_rank"] == 1
 
 
 @pytest.mark.parametrize("flag", ["--pattern-cap", "--feasible-cap"])
@@ -223,7 +236,7 @@ def test_decide_cap_below_one_exits_3(tmp_path, capsys, flag):
 
 
 def test_decide_prune_matching_flag(tmp_path, capsys):
-    path = write_problem(tmp_path, cycle(5))
+    path = write_problem(tmp_path, diamond())
     code, out, _ = run_cli(capsys, ["decide", path, "--prune-matching"])
     assert code == 1
     assert "verdict: NOT_CHOOSABLE" in out

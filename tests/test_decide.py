@@ -41,16 +41,19 @@ from _examples import (
     coefficient_corpus,
     complete,
     cycle,
+    diamond,
     fan,
+    k33,
     random_problem,
+    second_pattern_bad,
     wheel,
     wheel_extension,
 )
 
 
 def feasible_set(p):
-    basis, witness, _ = collect_constraints(p)
-    assert witness is None
+    assert standard_alon_tarsi(p)[0] is None
+    basis, _ = collect_constraints(p)
     return basis, set(as_vectors(enumerate_feasible_vectors(basis, p.n), p.n))
 
 
@@ -130,22 +133,18 @@ def test_basis_extend_matches_adding_rows_in_turn(monkeypatch, n, start, rows, k
 
 class ReferenceSink:
     """The constraint sink written one group at a time: each tight group
-    becomes a row offered to ``add`` in delivery order."""
+    becomes a row offered to ``add`` in delivery order, and unmarked
+    terms are passed over."""
 
     def __init__(self, n):
         self.basis = ConstraintBasis(n)
-        self.witness = None
 
     def __call__(self, layout, terms):
-        found = list(iter_terms(layout, terms))
-        plain = [(f, c) for f, marker, c in found if marker is None]
-        if plain:
-            self.witness = plain[-1]
-            return True
         n = layout.problem.n
         groups = {}
-        for f, marker, c in found:
-            groups.setdefault(f, [0] * n)[marker] = c
+        for f, marker, c in iter_terms(layout, terms):
+            if marker is not None:
+                groups.setdefault(f, [0] * n)[marker] = c
         for f, row in groups.items():
             self.basis.add(f, row)
             if self.basis.rank == n:
@@ -184,7 +183,6 @@ def test_batched_sink_matches_adding_each_group_in_turn(p, heuristic, branch_lim
         runs.append((sink, outcome, stats, calls))
     (batched, *rest), (reference, *expected) = runs
     assert rest == expected
-    assert batched.witness == reference.witness
     assert_same_basis(batched.basis, reference.basis)
 
 
@@ -198,9 +196,20 @@ def test_standard_has_no_witness_on_odd_cycle():
     assert witness is None
 
 
-def test_collect_constraints_short_circuits_on_witness():
-    basis, witness, _ = collect_constraints(cycle(4))
-    assert witness == ((1, 1, 1, 1), -2)
+def test_collect_constraints_skips_unmarked_terms():
+    # the extended product of an even cycle keeps its full-degree monomials
+    p = cycle(4)
+    terms = []
+    run_truncated_product(
+        p, order_vertices(p), mode="extended",
+        sink=lambda layout, t: terms.extend(iter_terms(layout, t)),
+    )
+    assert ((1, 1, 1, 1), None, -2) in terms
+    basis, _ = collect_constraints(p)
+    reference = ReferenceSink(p.n)
+    run_truncated_product(p, order_vertices(p), mode="extended", sink=reference)
+    assert basis.rank > 0
+    assert_same_basis(basis, reference.basis)
 
 
 def test_triangle_constraints_pin_equal_endpoints():
@@ -568,7 +577,7 @@ def test_pipeline_standard_mode_stops_after_the_standard_stage():
         "coefficient": -2,
     }
     assert set(hit.details) == {"ordering", "standard_stats"}
-    miss = pipeline_decide(cycle(5), mode="standard")
+    miss = pipeline_decide(k33(), mode="standard")
     assert (miss.status, miss.certificate, miss.reason) == (UNKNOWN, None, "NoWitness")
     assert set(miss.details) == {"ordering", "standard_stats"}
 
@@ -599,10 +608,15 @@ def test_pipeline_single_edge_equal_singletons():
     ]
 
 
-def test_pipeline_triangle_with_singleton_lists_is_unknown():
-    verdict = pipeline_decide(complete(3, 1))
-    assert verdict.status == UNKNOWN
-    assert verdict.reason == "NoConstraints"
+def test_pipeline_triangle_with_singleton_lists_is_refuted():
+    # R2 deletes vertex 0 and empties the lists of 1 and 2
+    p = complete(3, 1)
+    verdict = pipeline_decide(p)
+    _assert_refuted(p, verdict)
+    assert verdict.certificate["pattern"] == [{"vector": [1, 1, 1], "multiplicity": 1}]
+    assert verdict.details == {
+        "reductions": {"R1": 0, "R2": 1, "R4": 0, "components": 0, "decided_by": "R2"}
+    }
 
 
 def _assert_refuted(p, verdict, **limits):
@@ -620,15 +634,14 @@ def _assert_refuted(p, verdict, **limits):
 
 
 def test_pipeline_pattern_cap_without_deletable_edges():
-    # p112's first pattern is bad, so cap 1 is enough to refute it
-    p112 = Problem(n=3, s=(1, 1, 2), edges=((0, 1), (1, 2)), name="p112")
-    capped = pipeline_decide(p112, pattern_cap=1)
-    _assert_refuted(p112, capped)
-    assert capped.certificate == pipeline_decide(p112).certificate
+    # the diamond's first pattern is bad, so cap 1 is enough to refute it
+    capped = pipeline_decide(diamond(), pattern_cap=1)
+    _assert_refuted(diamond(), capped)
+    assert capped.certificate == pipeline_decide(diamond()).certificate
     assert capped.details["pattern_count"] == 1
     assert capped.details["deletable_edges"] == []
     # here the first pattern colors and the second is bad
-    p = Problem(n=4, s=(1, 1, 2, 3), edges=((0, 3), (1, 2), (1, 3), (2, 3)))
+    p = second_pattern_bad()
     capped = pipeline_decide(p, pattern_cap=1)
     assert (capped.status, capped.certificate) == (UNKNOWN, None)
     assert capped.reason == "TooManyPatterns"
@@ -669,7 +682,7 @@ def test_pipeline_rejects_a_cap_below_one(cap):
 
 
 def test_pipeline_feasible_cap_gives_unknown():
-    verdict = pipeline_decide(cycle(5), feasible_cap=4)
+    verdict = pipeline_decide(fan(), feasible_cap=4)
     assert verdict.status == UNKNOWN
     assert verdict.reason == "FeasibleSearchTooLarge"
 
@@ -697,14 +710,14 @@ def test_pipeline_reports_no_feasible_vectors(monkeypatch):
         return None, RunStats()
 
     def fake_collect(p, ordering, branch_limit):
-        return basis, None, RunStats()
+        return basis, RunStats()
 
     monkeypatch.setattr(decide_module, "standard_alon_tarsi", fake_standard)
     monkeypatch.setattr(decide_module, "collect_constraints", fake_collect)
+    # R2 would refute this problem before any stage ran
     p = Problem(n=2, s=(1, 1), edges=((0, 1),))
-    verdict = pipeline_decide(p)
-    assert verdict.status == CHOOSABLE
-    assert verdict.certificate == {"kind": "NoFeasibleVectors", "rank": 2}
+    result = decide_module._run_stages(p, decide_module.Settings(), {})
+    assert result == (CHOOSABLE, {"kind": "NoFeasibleVectors", "rank": 2}, None)
 
 
 def test_pipeline_takes_lists_longer_than_n_at_length_n_plus_one():

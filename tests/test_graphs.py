@@ -241,3 +241,94 @@ def test_cycle_fixture_shape():
     c5 = cycle(5)
     assert c5.m == 5
     assert all(size == 2 for size in c5.s)
+
+
+# ------------------------------------------------------- components, blocks
+
+def _reference_blocks(p):
+    """Blocks as the classes of edges that no single vertex separates: e
+    and f share a block when, for every vertex x, what is left of them
+    after deleting x stays connected."""
+
+    def linked(e, f, x):
+        adj = [[] for _ in range(p.n)]
+        for u, v in p.edges:
+            if x not in (u, v):
+                adj[u].append(v)
+                adj[v].append(u)
+        start = [v for v in e if v != x]
+        seen, todo = set(start), list(start)
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return all(v in seen for v in f if v != x)
+
+    classes = []
+    for e in p.edges:
+        for group in classes:
+            if all(linked(e, group[0], x) for x in range(p.n)):
+                group.append(e)
+                break
+        else:
+            classes.append([e])
+    return sorted(tuple(sorted({v for e in group for v in e})) for group in classes)
+
+
+@st.composite
+def connected_problems(draw):
+    n = draw(st.integers(2, 8))
+    # a random spanning tree, then any extra edges
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    return Problem(n=n, s=(1,) * n, edges=tuple(set(tree) | set(extra)))
+
+
+def blocks_of(p):
+    """The blocks of a connected p."""
+    [(vertices, found)] = graphs.blocks(p.adjacency(), range(p.n))
+    assert vertices == list(range(p.n))
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_problems())
+def test_blocks_match_the_separation_definition(p):
+    assert blocks_of(p) == _reference_blocks(p)
+
+
+def test_blocks_of_familiar_graphs():
+    assert blocks_of(cycle(5)) == [(0, 1, 2, 3, 4)]
+    assert blocks_of(path3()) == [(0, 1), (1, 2)]
+    assert blocks_of(generate_family("glued-cliques", 3, 3)) == [
+        (0, 1, 2), (2, 3, 4), (4, 5, 6)
+    ]
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_blocks_walk_needs_no_deep_stack(closed):
+    # a recursive walk would go 3,000 frames deep on these
+    n = 3000
+    edges = tuple((i, i + 1) for i in range(n - 1)) + (((0, n - 1),) if closed else ())
+    p = Problem(n=n, s=(2,) * n, edges=edges)
+    assert len(blocks_of(p)) == (1 if closed else n - 1)
+
+
+def test_components_come_ascending_in_order_of_their_lowest_vertex():
+    p = Problem(n=8, s=(1,) * 8, edges=((0, 5), (1, 3), (3, 6), (2, 4), (1, 6)))
+    assert graphs.blocks(p.adjacency(), range(8)) == [
+        ([0, 5], [(0, 5)]), ([1, 3, 6], [(1, 3, 6)]), ([2, 4], [(2, 4)]), ([7], []),
+    ]
+    # the graph left after deleting vertices 0, 5, 6 and 7
+    adj = p.adjacency()
+    adj[1].discard(6)
+    adj[3].discard(6)
+    assert graphs.blocks(adj, [1, 3, 4, 2]) == [([1, 3], [(1, 3)]), ([2, 4], [(2, 4)])]
+
+
+def test_induced_renumbers_in_order_and_keeps_orientation():
+    p = Problem(n=5, s=(1, 2, 3, 4, 5), edges=((0, 4), (1, 3), (3, 4), (1, 2)), name="x")
+    sub = p.induced([1, 3, 4], [9, 8, 7, 6, 5])
+    assert sub == Problem(n=3, s=(8, 6, 5), edges=((0, 1), (1, 2)), name="x")

@@ -1,0 +1,222 @@
+"""The exact reductions in front of the stages, and their lifted
+certificates."""
+
+import itertools
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from choosability import (
+    CHOOSABLE,
+    NOT_CHOOSABLE,
+    UNKNOWN,
+    OracleLimitError,
+    Problem,
+    brute_force_choosable,
+    color_from_pattern,
+    direct_coefficient,
+    pipeline_decide,
+)
+from choosability.graphs import generate_family
+
+from _examples import cycle, diamond, fan, k33, wheel
+
+
+def disjoint_union(*problems):
+    """The problems side by side, each renumbered after the ones before."""
+    s, edges, offset = [], [], 0
+    for p in problems:
+        s += p.s
+        edges += [(u + offset, v + offset) for u, v in p.edges]
+        offset += p.n
+    return Problem(n=offset, s=tuple(s), edges=tuple(edges))
+
+
+def pattern_of(verdict):
+    return [
+        (tuple(entry["vector"]), entry["multiplicity"])
+        for entry in verdict.certificate["pattern"]
+    ]
+
+
+def assert_certificate_holds(p, verdict):
+    """A WitnessMonomial's coefficient is the signed orientation count; a
+    BadAssignment covers the lists exactly and cannot be colored."""
+    cert = verdict.certificate
+    if verdict.status == NOT_CHOOSABLE:
+        assert cert["kind"] == "BadAssignment"
+        pattern = pattern_of(verdict)
+        assert all(any(vec) and mult >= 1 for vec, mult in pattern)
+        cover = [sum(mult * vec[v] for vec, mult in pattern) for v in range(p.n)]
+        assert cover == list(p.s)
+        assert color_from_pattern(p, pattern) is None
+    elif cert is not None and cert["kind"] == "WitnessMonomial":
+        f = cert["f"]
+        assert all(0 <= x < sv for x, sv in zip(f, p.s)) and sum(f) == p.m
+        assert direct_coefficient(p, f) == cert["coefficient"] != 0
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    s = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    while sum(s) > 16:
+        s[s.index(max(s))] -= 1
+    return Problem(n=n, s=tuple(s), edges=tuple(sorted(edges)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_problems())
+def test_verdicts_match_brute_force_and_certificates_hold(p):
+    try:
+        truth = brute_force_choosable(p, max_total=16, max_nodes=200_000)[0]
+    except OracleLimitError:
+        truth = None
+    for heuristic in ("AUTO", "INPUT"):
+        for branch_limit in (1, None):
+            verdict = pipeline_decide(p, heuristic=heuristic, branch_limit=branch_limit)
+            if verdict.status != UNKNOWN and truth is not None:
+                assert (verdict.status == CHOOSABLE) == truth
+            assert_certificate_holds(p, verdict)
+
+
+def test_disjoint_union_is_refuted_by_its_gallai_component():
+    # an even cycle, choosable, beside a triangle, a Gallai tree
+    p = disjoint_union(cycle(4), Problem(n=3, s=(2, 2, 2), edges=((0, 1), (0, 2), (1, 2))))
+    verdict = pipeline_decide(p)
+    assert verdict.status == NOT_CHOOSABLE
+    assert pattern_of(verdict) == [
+        ((0, 0, 0, 0, 1, 1, 1), 2),
+        ((1, 0, 0, 0, 0, 0, 0), 2),
+        ((0, 1, 0, 0, 0, 0, 0), 2),
+        ((0, 0, 1, 0, 0, 0, 0), 2),
+        ((0, 0, 0, 1, 0, 0, 0), 2),
+    ]
+    assert verdict.details == {
+        "reductions": {"R1": 0, "R2": 0, "R4": 1, "components": 2, "decided_by": "R4"}
+    }
+    assert_certificate_holds(p, verdict)
+    assert brute_force_choosable(p)[0] is False
+
+
+def test_witnesses_of_components_multiply():
+    single = pipeline_decide(cycle(4))
+    p = disjoint_union(cycle(4), cycle(4))
+    verdict = pipeline_decide(p)
+    assert verdict.status == CHOOSABLE
+    assert verdict.certificate == {
+        "kind": "WitnessMonomial", "f": [1] * 8, "coefficient": 4
+    }
+    assert_certificate_holds(p, verdict)
+    assert verdict.details["reductions"]["components"] == 2
+    stats, one = verdict.details["standard_stats"], single.details["standard_stats"]
+    assert stats == {key: 2 * value for key, value in one.items()}
+
+
+def test_adjacent_singleton_lists_are_refuted_by_r2():
+    p = Problem(n=3, s=(1, 1, 2), edges=((0, 1), (1, 2)))
+    verdict = pipeline_decide(p)
+    # vertex 0 takes its one color from vertex 1, whose list is then empty;
+    # vertex 2, still live, keeps two colors of its own
+    assert pattern_of(verdict) == [((0, 0, 1), 2), ((1, 1, 0), 1)]
+    assert verdict.details["reductions"]["decided_by"] == "R2"
+    assert_certificate_holds(p, verdict)
+    assert brute_force_choosable(p)[0] is False
+
+
+def test_a_list_longer_than_the_degree_is_deleted_and_lifted():
+    # a pendant vertex with 2 colors hangs off an even cycle
+    p = Problem(n=5, s=(2, 2, 2, 2, 2), edges=cycle(4).edges + ((3, 4),))
+    verdict = pipeline_decide(p)
+    assert verdict.status == CHOOSABLE
+    # vertex 4 goes first; its edge leaves it for the lower vertex 3
+    assert verdict.certificate["f"] == [1, 1, 1, 1, 1]
+    assert verdict.details["reductions"] == {
+        "R1": 1, "R2": 0, "R4": 0, "components": 1, "decided_by": "stages"
+    }
+    assert_certificate_holds(p, verdict)
+    # the same pendant vertex off an odd cycle: R4 refutes the rest
+    q = Problem(n=6, s=(2,) * 6, edges=cycle(5).edges + ((0, 5),))
+    refuted = pipeline_decide(q)
+    assert pattern_of(refuted) == [((1, 1, 1, 1, 1, 0), 2), ((0, 0, 0, 0, 0, 1), 2)]
+    assert_certificate_holds(q, refuted)
+    assert brute_force_choosable(q)[0] is False
+
+
+def test_gallai_tree_with_lists_below_the_degrees():
+    # a 5-cycle with a triangle on vertex 0, whose 4 neighbours get 3 colors:
+    # it leaves the last block's second color
+    edges = cycle(5).edges + ((0, 5), (0, 6), (5, 6))
+    p = Problem(n=7, s=(3, 2, 2, 2, 2, 2, 2), edges=edges)
+    verdict = pipeline_decide(p)
+    assert pattern_of(verdict) == [
+        ((1, 1, 1, 1, 1, 0, 0), 2),
+        ((1, 0, 0, 0, 0, 1, 1), 1),
+        ((0, 0, 0, 0, 0, 1, 1), 1),
+    ]
+    assert verdict.details["reductions"]["decided_by"] == "R4"
+    assert_certificate_holds(p, verdict)
+    assert brute_force_choosable(p)[0] is False
+
+
+@pytest.mark.parametrize("wheel_first", [True, False])
+def test_a_component_choosable_without_a_witness_gives_its_certificate(wheel_first):
+    parts = [wheel(), cycle(4)] if wheel_first else [cycle(4), wheel()]
+    p = disjoint_union(*parts)
+    verdict = pipeline_decide(p)
+    assert verdict.status == CHOOSABLE
+    vertices = list(range(6)) if wheel_first else list(range(4, 10))
+    assert verdict.certificate == {
+        "kind": "AllPatternsColorable", "count": 1, "vertices": vertices
+    }
+    assert verdict.details["reductions"]["components"] == 2
+    # the wheel's details, in the union's numbering
+    wheel_edges = pipeline_decide(wheel()).details["deletable_edges"]
+    shift = vertices[0]
+    assert verdict.details["deletable_edges"] == [[u + shift, v + shift] for u, v in wheel_edges]
+
+
+def test_an_unreduced_connected_problem_has_no_reductions_record():
+    assert "reductions" not in pipeline_decide(fan()).details
+    assert "reductions" not in pipeline_decide(cycle(4), mode="standard").details
+
+
+def test_reductions_run_in_standard_mode():
+    verdict = pipeline_decide(cycle(5), mode="standard")
+    assert verdict.status == NOT_CHOOSABLE
+    assert verdict.details["reductions"]["decided_by"] == "R4"
+
+
+def test_a_later_refuted_component_outranks_an_earlier_unknown():
+    # K_{3,3} with lists of 2 ends UNKNOWN; the diamond after it is refuted
+    p = disjoint_union(k33(), diamond())
+    verdict = pipeline_decide(p)
+    assert verdict.status == NOT_CHOOSABLE
+    assert verdict.details["reductions"]["decided_by"] == "stages"
+    # the diamond's own pattern, moved up by 6, then K_{3,3}'s colors
+    shifted = [((0,) * 6 + vec, mult) for vec, mult in pattern_of(pipeline_decide(diamond()))]
+    singletons = [(tuple(int(u == v) for u in range(10)), 2) for v in range(6)]
+    assert pattern_of(verdict) == shifted + singletons
+    assert_certificate_holds(p, verdict)
+    # with an even cycle instead, the UNKNOWN stands
+    unknown = pipeline_decide(disjoint_union(cycle(4), k33()))
+    assert (unknown.status, unknown.certificate) == (UNKNOWN, None)
+    assert unknown.reason == "NoConstraints"
+    assert unknown.details["constraint_rank"] == 0
+
+
+def test_glued_cliques_4_5_is_refuted_without_a_product():
+    # through the product this took 38.6 s and 107 M monomials
+    p = generate_family("glued-cliques", 4, 5)
+    start = time.monotonic()
+    verdict = pipeline_decide(p)
+    assert time.monotonic() - start < 1.0
+    assert verdict.details == {
+        "reductions": {"R1": 0, "R2": 0, "R4": 1, "components": 1, "decided_by": "R4"}
+    }
+    assert_certificate_holds(p, verdict)
+    assert len(pattern_of(verdict)) == 4
