@@ -166,7 +166,7 @@ def _report(p: Problem, config: dict, args, **fields) -> dict:
 
 def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
         return
     prob = report["problem"]
     label = prob["name"] or "<unnamed>"
@@ -189,8 +189,6 @@ def _print_report(report: dict, as_json: bool) -> None:
                 )
         elif cert["kind"] == "AllPatternsColorable":
             print("  patterns checked: %d" % cert["count"])
-        elif cert["kind"] == "NoFeasibleVectors":
-            print("  constraint rank: %d" % cert["rank"])
     if report["reason"]:
         print("reason: %s" % report["reason"])
     details = report["details"]
@@ -261,7 +259,7 @@ def _cmd_coefficients(args) -> int:
             {"f": list(f), "marker": marker, "coefficient": coeff}
             for f, marker, coeff in rows
         ]
-        print(json.dumps(_report(p, config, args, terms=terms), indent=2, sort_keys=True))
+        print(json.dumps(_report(p, config, args, terms=terms), sort_keys=True))
     else:
         for f, marker, coeff in rows:
             mark = "-" if marker is None else str(marker)

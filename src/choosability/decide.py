@@ -1,21 +1,23 @@
 """Decision procedures built on truncated product runs.
 
-Exact reductions delete vertices whose lists are too long or single,
-split the rest into components and refute Gallai trees.  On what is
-left, the standard test looks for any surviving monomial of full
-degree, which certifies choosability.  The extended path keeps
-tight-marker terms, turns every group with a common degree base into a
-linear constraint on the 0/1 characteristic vectors of colors, and
-works through feasible vectors and deletable edges to candidate list
-assignments.  Each goes to the coloring search as the pattern search
-finds it, and the first one that cannot be colored ends the search.
+Every problem takes one path.  Exact reductions delete vertices whose
+lists are too long or single, split the rest into components and
+refute Gallai trees.  On each component left, the standard test looks
+for any surviving monomial of full degree, which certifies
+choosability.  The extended path keeps tight-marker terms, turns every
+group with a common degree base into a linear constraint on the 0/1
+characteristic vectors of colors, and works through feasible vectors
+and deletable edges to candidate list assignments.  Each goes to the
+coloring search as the pattern search finds it, and the first one that
+cannot be colored ends the search; when every one colors, or there is
+none, the component is choosable.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .graphs import blocks, order_vertices, product_estimate
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
     CoefficientOverflow,
-    RunStats,
     TermList,
     run_truncated_product,
     subset_sums,
@@ -389,35 +390,6 @@ def _pattern_json(pattern):
     ]
 
 
-def _stats_json(stats: RunStats):
-    return {
-        "total_monomials": stats.total_monomials,
-        "peak_terms": stats.peak_terms,
-        "branches": stats.branches,
-    }
-
-
-def pipeline_decide(p: Problem, **settings) -> Verdict:
-    """Full decision pipeline under ``Settings(**settings)``.
-
-    Exact reductions run first, in both modes, and the stages run on what
-    they leave (``_reduce_and_run``).
-
-    Stages: the standard test, after which mode "standard" stops; then
-    constraint collection; feasible-vector enumeration; deletable-edge
-    detection; and one pattern stage, which colors each candidate
-    assignment as the search finds it and stops at the first that
-    cannot be colored.  The pattern cap bounds the assignments colored:
-    a search that needs more ends UNKNOWN ``TooManyPatterns``.  Any
-    stage that cannot finish downgrades the verdict to UNKNOWN with the
-    partial findings kept in ``details``.
-    """
-    settings = Settings(**settings)
-    details: dict = {}
-    status, certificate, reason = _reduce_and_run(p, settings, details)
-    return Verdict(status, certificate, reason, details)
-
-
 def _reduce(p: Problem):
     """R1 and R2 to a fixpoint, or until R2 empties a list: the adjacency,
     list sizes and vertices left, and the deletions as (rule, v, its
@@ -470,105 +442,114 @@ def _lift_bad(n: int, colors, vs, live, s, steps):
     return {"kind": "BadAssignment", "pattern": _pattern_json(pattern)}
 
 
-def _reduce_and_run(p: Problem, settings: Settings, details: dict):
-    """The reductions (README, "Reductions"), then the stages on each
-    component left until one is refuted; returns (status, certificate,
-    reason), the certificate lifted back to p."""
+def pipeline_decide(p: Problem, **settings) -> Verdict:
+    """Full decision pipeline under ``Settings(**settings)``, one path for
+    every problem: the reductions (README, "Reductions"), the stages on
+    each component left until one is refuted, and the certificate lifted
+    back to p; a problem nothing reduces is one component, lifted by the
+    identity.  ``details`` holds the ``reductions`` record and the
+    deciding component's details, with the stats of all components run:
+    monomials and branches add up, and ``peak_terms`` is the largest, as
+    the components run one at a time."""
+    settings = Settings(**settings)
     adj, s, live, steps = _reduce(p)
     refuted = 0 in (s[v] for v in live)
     parts = [] if refuted else blocks(adj, live)
     gallai = next(((vs, c) for vs, b in parts if (c := _gallai_colors(adj, s, b))), None)
-    if not steps and len(parts) == 1 and gallai is None:
-        return _run_stages(p, settings, details)
     rules = Counter(rule for rule, *_ in steps)
     decided_by = "R2" if refuted else "R4" if gallai else "stages" if parts else "R1/R2"
-    details["reductions"] = {"R1": rules["R1"], "R2": rules["R2"], "R4": int(bool(gallai)),
-                             "components": len(parts), "decided_by": decided_by}
+    details = {"reductions": {"R1": rules["R1"], "R2": rules["R2"], "R4": int(bool(gallai)),
+                              "components": len(parts), "decided_by": decided_by}}
     if refuted or gallai:
         vs, colors = gallai or ([], [])
-        return NOT_CHOOSABLE, _lift_bad(p.n, colors, vs, live, s, steps), None
+        cert = _lift_bad(p.n, colors, vs, live, s, steps)
+        return Verdict(NOT_CHOOSABLE, cert, details=details)
 
     runs = []
     for vs, _ in parts:
-        run_details: dict = {}
-        result = _run_stages(p.induced(vs, s), settings, run_details)
-        runs.append((vs, *result, run_details))
-        if runs[-1][1] == NOT_CHOOSABLE:
+        runs.append((vs, _run_stages(p.induced(vs, s), settings)))
+        if runs[-1][1].status == NOT_CHOOSABLE:
             break
     if runs:
         # the refuted run, else the first UNKNOWN, else the first without a witness
-        vs, status, cert, reason, run_details = min(runs, key=lambda run: (
-            run[1] != NOT_CHOOSABLE, run[1] != UNKNOWN,
-            (run[2] or {}).get("kind") == "WitnessMonomial",
+        vs, run = min(runs, key=lambda r: (
+            r[1].status != NOT_CHOOSABLE, r[1].status != UNKNOWN,
+            (r[1].certificate or {}).get("kind") == "WitnessMonomial",
         ))
-        details.update(run_details)
+        details.update(run.details)
         if "deletable_edges" in details:
-            edges = details["deletable_edges"]
-            details["deletable_edges"] = [[vs[a], vs[b]] for a, b in edges]
+            details["deletable_edges"] = [[vs[a], vs[b]] for a, b in details["deletable_edges"]]
         for key in ("standard_stats", "extended_stats"):
-            stats = [run[-1][key] for run in runs if key in run[-1]]
-            if stats:
-                details[key] = {k: sum(x[k] for x in stats) for k in stats[0]}
-        if status == NOT_CHOOSABLE:
+            if stats := [r.details[key] for _, r in runs if key in r.details]:
+                details[key] = {k: (max if k == "peak_terms" else sum)(x[k] for x in stats)
+                                for k in stats[0]}
+        if run.status == NOT_CHOOSABLE:
             colors = [({vs[i] for i, x in enumerate(c["vector"]) if x}, c["multiplicity"])
-                      for c in cert["pattern"]]
-            return status, _lift_bad(p.n, colors, vs, live, s, steps), None
-        if status == UNKNOWN or cert["kind"] != "WitnessMonomial":
-            return status, cert and dict(cert, vertices=vs), reason
+                      for c in run.certificate["pattern"]]
+            cert = _lift_bad(p.n, colors, vs, live, s, steps)
+            return Verdict(NOT_CHOOSABLE, cert, details=details)
+        if run.status == UNKNOWN or run.certificate["kind"] != "WitnessMonomial":
+            cert = run.certificate and dict(run.certificate, vertices=vs)
+            return Verdict(run.status, cert, run.reason, details)
 
     # every component gave a witness; side by side they multiply
     f, coeff = [0] * p.n, 1
-    for vs, _, cert, _, _ in runs:
-        for v, x in zip(vs, cert["f"]):
+    for vs, run in runs:
+        for v, x in zip(vs, run.certificate["f"]):
             f[v] = x
-        coeff *= cert["coefficient"]
+        coeff *= run.certificate["coefficient"]
     # R1's edges all leave v, R2's enter it; each low-to-high one flips the sign
     for rule, v, nbrs, _ in reversed(steps):
         f[v] = len(nbrs) if rule == "R1" else 0
         for u in nbrs:
             f[u] += rule == "R2"
         coeff *= (-1) ** sum((u > v) == (rule == "R1") for u in nbrs)
-    return CHOOSABLE, {"kind": "WitnessMonomial", "f": f, "coefficient": coeff}, None
+    cert = {"kind": "WitnessMonomial", "f": f, "coefficient": coeff}
+    return Verdict(CHOOSABLE, cert, details=details)
 
 
-def _run_stages(p: Problem, settings: Settings, details: dict):
-    """The stages of ``pipeline_decide``, filling ``details`` as they go;
-    returns (status, certificate, reason).  No list may be longer than
-    its vertex's degree, as after R1."""
+def _run_stages(p: Problem, settings: Settings) -> Verdict:
+    """The stages of ``pipeline_decide`` on one component, as a Verdict
+    with their own details: the standard test, after which mode
+    "standard" stops; constraint collection; the feasible-vector scan;
+    deletable edges; and the pattern search, which colors each candidate
+    assignment as it is found and stops at the first that cannot be
+    colored.  Every assignment coloring, none at all included, gives
+    ``AllPatternsColorable``.  A search needing more than the pattern cap
+    ends UNKNOWN ``TooManyPatterns``; any stage that cannot finish gives
+    UNKNOWN, its partial findings kept.  No list may be longer than its
+    vertex's degree, as after R1."""
     ordering = order_vertices(p, settings.heuristic)
     estimate = product_estimate(p, ordering.order)
-    details["ordering"] = {"heuristic": ordering.heuristic, "estimate": estimate}
+    details = {"ordering": {"heuristic": ordering.heuristic, "estimate": estimate}}
     try:
         witness, stats = standard_alon_tarsi(
             p, ordering, settings.branch_limit, settings.prune_matching
         )
-        details["standard_stats"] = _stats_json(stats)
+        details["standard_stats"] = asdict(stats)
         if witness is not None:
             f, coeff = witness
             cert = {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff}
-            return CHOOSABLE, cert, None
+            return Verdict(CHOOSABLE, cert, details=details)
         if settings.mode == "standard":
-            return UNKNOWN, None, "NoWitness"
+            return Verdict(UNKNOWN, reason="NoWitness", details=details)
         basis, stats = collect_constraints(p, ordering, settings.branch_limit)
-        details["extended_stats"] = _stats_json(stats)
+        details["extended_stats"] = asdict(stats)
     except CoefficientOverflow as exc:
         details["overflow"] = str(exc)
-        return UNKNOWN, None, "Overflow"
+        return Verdict(UNKNOWN, reason="Overflow", details=details)
 
     details["constraint_rank"] = basis.rank
     details["constraint_rows_offered"] = basis.offered
     if basis.rank == 0:
-        return UNKNOWN, None, "NoConstraints"
+        return Verdict(UNKNOWN, reason="NoConstraints", details=details)
 
     try:
         masks = enumerate_feasible_vectors(basis, p.n, settings.feasible_cap)
     except FeasibleSearchTooLarge:
-        return UNKNOWN, None, "FeasibleSearchTooLarge"
+        return Verdict(UNKNOWN, reason="FeasibleSearchTooLarge", details=details)
     nonzero = masks[masks != 0]
     details["feasible_vectors"] = len(masks)
-    if not len(nonzero):
-        return CHOOSABLE, {"kind": "NoFeasibleVectors", "rank": basis.rank}, None
-
     details["deletable_edges"] = [list(e) for e in find_deletable_edges(nonzero, p)]
 
     color = oracle.pattern_colorer(p)
@@ -585,11 +566,10 @@ def _run_stages(p: Problem, settings: Settings, details: dict):
             nonzero, p.s, settings.pattern_cap, stop=uncolorable
         )
     except PatternCapExceeded:
-        return UNKNOWN, None, "TooManyPatterns"
+        return Verdict(UNKNOWN, reason="TooManyPatterns", details=details)
     details["pattern_count"] = len(patterns)
     if bad:
         cert = {"kind": "BadAssignment", "pattern": _pattern_json(bad[0])}
-        return NOT_CHOOSABLE, cert, None
-    if not patterns:
-        return CHOOSABLE, {"kind": "NoComposition"}, None
-    return CHOOSABLE, {"kind": "AllPatternsColorable", "count": len(patterns)}, None
+        return Verdict(NOT_CHOOSABLE, cert, details=details)
+    cert = {"kind": "AllPatternsColorable", "count": len(patterns)}
+    return Verdict(CHOOSABLE, cert, details=details)

@@ -227,10 +227,10 @@ def test_criterion_06_wheel_extension():
     assert feasible == derived
     verdict = pipeline_decide(p)
     assert verdict.status == "CHOOSABLE"
-    assert verdict.certificate["kind"] in (
-        "NoComposition",
-        "AllPatternsColorable",
-    )
+    # no multiset of feasible vectors sums to s: no admissible assignment
+    assert verdict.certificate == {
+        "kind": "AllPatternsColorable", "count": 0, "vertices": list(range(p.n))
+    }
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])

@@ -108,6 +108,8 @@ def test_decide_json_matches_library(tmp_path, capsys, mode):
     assert "deleted_edges" not in report["details"]
     assert report["config"]["mode"] == mode
     assert "backend" not in report["config"]
+    # compact: the whole report on one line, keys sorted
+    assert out == json.dumps(report, sort_keys=True) + "\n"
 
 
 def test_decide_standard_overflow_is_unknown(tmp_path, capsys, monkeypatch):
@@ -122,7 +124,7 @@ def test_decide_standard_overflow_is_unknown(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert (report["verdict"], report["certificate"]) == ("UNKNOWN", None)
     assert report["reason"] == "Overflow"
-    assert list(report["details"]) == ["ordering", "overflow"]
+    assert list(report["details"]) == ["ordering", "overflow", "reductions"]
     assert report["details"]["overflow"].startswith("edge {")
 
 
@@ -389,6 +391,7 @@ def test_coefficients_json_shape(tmp_path, capsys):
         {"f": [0, 0], "marker": 0, "coefficient": -1},
         {"f": [0, 0], "marker": 1, "coefficient": 1},
     ]
+    assert out == json.dumps(report, sort_keys=True) + "\n"
 
 
 def test_coefficients_overflow_exits_2(tmp_path, capsys, monkeypatch):

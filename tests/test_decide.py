@@ -548,14 +548,21 @@ def test_pipeline_fan_not_choosable():
 def test_pipeline_wheel_choosable_by_coloring_the_unique_pattern():
     verdict = pipeline_decide(wheel())
     assert verdict.status == CHOOSABLE
-    assert verdict.certificate == {"kind": "AllPatternsColorable", "count": 1}
+    assert verdict.certificate == {
+        "kind": "AllPatternsColorable", "count": 1, "vertices": list(range(6))
+    }
     assert verdict.details["deletable_edges"] == [[1, 5], [3, 4]]
 
 
 def test_pipeline_wheel_extension_has_no_composition():
+    # feasible vectors exist, but no multiset of them sums to s
     verdict = pipeline_decide(wheel_extension())
     assert verdict.status == CHOOSABLE
-    assert verdict.certificate == {"kind": "NoComposition"}
+    assert verdict.certificate == {
+        "kind": "AllPatternsColorable", "count": 0, "vertices": list(range(8))
+    }
+    assert verdict.details["feasible_vectors"] > 1
+    assert verdict.details["pattern_count"] == 0
 
 
 def test_pipeline_even_cycle_whispers_standard_witness():
@@ -576,10 +583,10 @@ def test_pipeline_standard_mode_stops_after_the_standard_stage():
         "f": [1, 1, 1, 1],
         "coefficient": -2,
     }
-    assert set(hit.details) == {"ordering", "standard_stats"}
+    assert set(hit.details) == {"reductions", "ordering", "standard_stats"}
     miss = pipeline_decide(k33(), mode="standard")
     assert (miss.status, miss.certificate, miss.reason) == (UNKNOWN, None, "NoWitness")
-    assert set(miss.details) == {"ordering", "standard_stats"}
+    assert set(miss.details) == {"reductions", "ordering", "standard_stats"}
 
 
 def test_pipeline_rejects_unknown_mode():
@@ -696,6 +703,7 @@ def test_pipeline_overflow_is_reported(monkeypatch):
     assert verdict.status == UNKNOWN
     assert verdict.reason == "Overflow"
     assert verdict.details == {
+        "reductions": {"R1": 0, "R2": 0, "R4": 0, "components": 1, "decided_by": "stages"},
         "ordering": {"heuristic": "MD+PROC", "estimate": 11},
         "overflow": "forced",
     }
@@ -716,8 +724,14 @@ def test_pipeline_reports_no_feasible_vectors(monkeypatch):
     monkeypatch.setattr(decide_module, "collect_constraints", fake_collect)
     # R2 would refute this problem before any stage ran
     p = Problem(n=2, s=(1, 1), edges=((0, 1),))
-    result = decide_module._run_stages(p, decide_module.Settings(), {})
-    assert result == (CHOOSABLE, {"kind": "NoFeasibleVectors", "rank": 2}, None)
+    verdict = decide_module._run_stages(p, decide_module.Settings())
+    # no nonzero vector, so no pattern: every admissible assignment colors
+    assert (verdict.status, verdict.certificate, verdict.reason) == (
+        CHOOSABLE, {"kind": "AllPatternsColorable", "count": 0}, None
+    )
+    assert verdict.details["constraint_rank"] == 2
+    assert verdict.details["feasible_vectors"] == 1
+    assert verdict.details["pattern_count"] == 0
 
 
 def test_pipeline_takes_lists_longer_than_n_at_length_n_plus_one():

@@ -440,12 +440,11 @@ def test_verdicts_do_not_depend_on_the_split():
 def test_growing_parts_keep_branchy_runs_short():
     # one part per distinct prefix made 1,033 extended branches here; the
     # stages run directly, as the reductions refute a glued clique at once
-    details = {}
-    status, _, _ = decide._run_stages(
-        generate_family("glued-cliques", 2, 5), decide.Settings(branch_limit=2000), details
+    verdict = decide._run_stages(
+        generate_family("glued-cliques", 2, 5), decide.Settings(branch_limit=2000)
     )
-    assert status == "NOT_CHOOSABLE"
-    assert details["extended_stats"]["branches"] <= 100
+    assert verdict.status == "NOT_CHOOSABLE"
+    assert verdict.details["extended_stats"]["branches"] <= 100
 
 
 def test_extended_finals_are_homogeneous():

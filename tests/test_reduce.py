@@ -2,6 +2,7 @@
 certificates."""
 
 import itertools
+import json
 import time
 
 import pytest
@@ -15,13 +16,24 @@ from choosability import (
     OracleLimitError,
     Problem,
     brute_force_choosable,
+    cli,
     color_from_pattern,
     direct_coefficient,
     pipeline_decide,
 )
-from choosability.graphs import generate_family
+from choosability.graphs import format_problem, generate_family
 
-from _examples import cycle, diamond, fan, k33, wheel
+from _examples import (
+    complete,
+    cycle,
+    diamond,
+    fan,
+    k33,
+    path3,
+    second_pattern_bad,
+    wheel,
+    wheel_extension,
+)
 
 
 def disjoint_union(*problems):
@@ -114,7 +126,27 @@ def test_witnesses_of_components_multiply():
     assert_certificate_holds(p, verdict)
     assert verdict.details["reductions"]["components"] == 2
     stats, one = verdict.details["standard_stats"], single.details["standard_stats"]
-    assert stats == {key: 2 * value for key, value in one.items()}
+    # the components run one after another: their peaks do not add up
+    assert stats == {
+        "total_monomials": 2 * one["total_monomials"],
+        "peak_terms": one["peak_terms"],
+        "branches": 2 * one["branches"],
+    }
+
+
+def test_peak_terms_is_the_largest_component_peak():
+    wheel_run, cycle_run = pipeline_decide(wheel()).details, pipeline_decide(cycle(6)).details
+    verdict = pipeline_decide(disjoint_union(wheel(), cycle(6)))
+    assert verdict.details["reductions"]["components"] == 2
+    one, other = wheel_run["standard_stats"], cycle_run["standard_stats"]
+    assert one["peak_terms"] != other["peak_terms"]
+    assert verdict.details["standard_stats"] == {
+        "total_monomials": one["total_monomials"] + other["total_monomials"],
+        "peak_terms": max(one["peak_terms"], other["peak_terms"]),
+        "branches": one["branches"] + other["branches"],
+    }
+    # only the wheel needs the extended product
+    assert verdict.details["extended_stats"] == wheel_run["extended_stats"]
 
 
 def test_adjacent_singleton_lists_are_refuted_by_r2():
@@ -180,9 +212,22 @@ def test_a_component_choosable_without_a_witness_gives_its_certificate(wheel_fir
     assert verdict.details["deletable_edges"] == [[u + shift, v + shift] for u, v in wheel_edges]
 
 
-def test_an_unreduced_connected_problem_has_no_reductions_record():
-    assert "reductions" not in pipeline_decide(fan()).details
-    assert "reductions" not in pipeline_decide(cycle(4), mode="standard").details
+@pytest.mark.parametrize("mode", ["pipeline", "standard"])
+def test_every_report_carries_a_reductions_record(tmp_path, capsys, mode):
+    examples = [cycle(4), cycle(5), complete(3, 1), complete(4), path3(), fan(), wheel(),
+                wheel_extension(), k33(), diamond(), second_pattern_bad()]
+    decided_by = set()
+    for p in examples:
+        path = tmp_path / ("%s.prob" % p.name)
+        path.write_text(format_problem(p), encoding="utf-8")
+        cli.main(["decide", str(path), "--mode", mode, "--json"])
+        record = json.loads(capsys.readouterr().out)["details"]["reductions"]
+        decided_by.add(record["decided_by"])
+        if p.name in ("c4", "fan"):
+            # nothing reduces them: one component, the whole graph
+            assert record == {"R1": 0, "R2": 0, "R4": 0, "components": 1,
+                              "decided_by": "stages"}
+    assert decided_by == {"R1/R2", "R2", "R4", "stages"}
 
 
 def test_reductions_run_in_standard_mode():
