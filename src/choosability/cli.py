@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--prune-matching",
         action="store_true",
-        help="drop product terms that fail Hakimi's orientation condition",
+        help="in the standard product, drop terms whose degree budgets cannot "
+        "hold the edges still to multiply",
     )
 
     sp = sub.add_parser(

@@ -22,14 +22,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import oracle
-from .graphs import DEFAULT_HEURISTIC, Problem, VertexOrdering
+from .graphs import DEFAULT_HEURISTIC, HEURISTICS, Problem, VertexOrdering
 from .graphs import blocks, order_vertices, product_estimate
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
     CoefficientOverflow,
     TermList,
     run_truncated_product,
-    subset_sums,
     unpack_terms,
 )
 
@@ -50,10 +49,11 @@ class Settings:
 
     The standard stage runs first; mode "standard" stops after it, and
     "pipeline" goes on to the later stages when it finds no witness.
-    The matching prune acts on the standard stage.  Both caps must be at
-    least 1.  The heuristic defaults to AUTO, which picks an ordering per
-    problem; it and the branch limit are checked where they are used, by
-    ``order_vertices`` and ``run_truncated_product``.
+    The matching prune (``run_truncated_product``) acts on the standard
+    stage.  The heuristic must be one of ``HEURISTICS``; it defaults to
+    AUTO, which picks an ordering per problem.  The branch limit is None
+    or at least 1; both caps are at least 1.  Every setting is checked
+    here, as the reductions may settle a problem without using them.
     """
 
     mode: str = "pipeline"
@@ -66,6 +66,10 @@ class Settings:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % ", ".join(MODES))
+        if self.heuristic not in HEURISTICS:
+            raise ValueError("unknown heuristic %r" % (self.heuristic,))
+        if self.branch_limit is not None and self.branch_limit < 1:
+            raise ValueError("branch limit must be positive")
         if min(self.pattern_cap, self.feasible_cap) < 1:
             raise ValueError("the pattern and feasible caps must be at least 1")
 
@@ -218,7 +222,8 @@ def standard_alon_tarsi(
     branch_limit: int | None = DEFAULT_BRANCH_LIMIT,
     prune_matching: bool = False,
 ):
-    """Largest surviving full-degree monomial, as (f, coefficient), or None."""
+    """(witness, stats): the largest surviving full-degree monomial, as
+    (f, coefficient), or None, and the run stats."""
     if ordering is None:
         ordering = order_vertices(p, DEFAULT_HEURISTIC)
     sink = _FirstTermSink()
@@ -247,6 +252,14 @@ def collect_constraints(
         p, ordering, mode="extended", branch_limit=branch_limit, sink=sink
     )
     return sink.basis, stats
+
+
+def subset_sums(values):
+    """The sum of values[j] over the bits j of each mask, indexed by mask."""
+    sums = np.zeros(1 << len(values), dtype=values.dtype)
+    for j, value in enumerate(values):
+        np.add(sums[: 1 << j], value, out=sums[1 << j : 2 << j])
+    return sums
 
 
 def enumerate_feasible_vectors(

@@ -212,8 +212,9 @@ def run_truncated_product(
     termination).  ``RunStats.branches`` counts the parts.
 
     branch_limit None disables splitting.  prune_matching applies only to
-    standard mode: at every turn boundary, terms whose remaining degree
-    budget cannot absorb the unprocessed edges are dropped.
+    standard mode: after each turn that leaves edges, terms whose degree
+    budgets, summed over the remaining graph, cannot hold its edges are
+    dropped (``_prune_unreachable``).  The final terms do not change.
 
     Returns (outcome, RunStats); outcome says whether the sink stopped the
     run early.
@@ -236,7 +237,7 @@ def run_truncated_product(
     n = problem.n
 
     prune = prune_matching and mode == "standard"
-    hakimi = {}  # the turns' Hakimi sets, None where a turn skips the prune
+    turn_bounds = [_turn_bound(problem, position, i) if prune else None for i in range(n)]
 
     # (part, position of its next turn); a split pushes its parts smallest
     # prefix first, so the largest runs next.  A part counts as a branch
@@ -254,10 +255,8 @@ def run_truncated_product(
                 if len(terms) == 0:
                     break
             else:
-                if prune and i not in hakimi:
-                    hakimi[i] = _turn_sets(problem, position, i)
-                if hakimi.get(i) is not None:
-                    terms = _prune_unreachable(layout, terms, hakimi[i])
+                if turn_bounds[i] is not None:
+                    terms = _prune_unreachable(layout, terms, turn_bounds[i])
             i += 1
             if branch_limit is not None and len(terms) > branch_limit and i < n:
                 masked = terms.keys & layout.prefix_masks[i - 1]
@@ -279,108 +278,50 @@ def run_truncated_product(
     return OUTCOME_COMPLETED, stats
 
 
-# Turns whose remaining graph has more vertices than this skip the prune:
-# the Hakimi test enumerates every vertex set of that graph.
-HAKIMI_MAX_VERTICES = 18
-# Elements per block of the term-by-set budget sums, which bounds the
-# memory the prune adds to a turn.
-_HAKIMI_BLOCK = 1 << 21
-
-
-def subset_sums(values):
-    """The sum of values[j] over the bits j of each mask, indexed by mask."""
-    sums = np.zeros(1 << len(values), dtype=values.dtype)
-    for j, value in enumerate(values):
-        np.add(sums[: 1 << j], value, out=sums[1 << j : 2 << j])
-    return sums
-
-
-def _turn_sets(problem, position, i):
-    """The Hakimi sets after the turn at position i, or None to skip it."""
-    remaining = [e for e in problem.edges if position[e[0]] > i and position[e[1]] > i]
-    vertices = {v for e in remaining for v in e}
-    if not remaining or len(vertices) > HAKIMI_MAX_VERTICES:
-        return None
-    # each multiplied edge has raised one of its endpoints' degrees by one
-    done = [0] * problem.n
+def _turn_bound(problem, position, i):
+    """The prune's test after the turn at position i, or None when no term
+    can fail it.  Of a remaining vertex's summand min(s - 1 - f, d) only
+    the floor min(max(s - 1 - done, 0), d) is known for every term, done
+    counting the multiplied edges at it; the summand equals its floor
+    unless done > 0 and the floor is below d.  Those vertices, the
+    frontier, are read per term, as min(s - 1 - f, d) = s - 1 - max(f, c)
+    with c = max(s - 1 - d, 0).  Returns the frontier's (v, c) pairs and
+    the largest sum of max(f, c) over them that passes."""
+    s = problem.s
+    degree = [0] * problem.n
+    done = [0] * problem.n  # each multiplied edge raised one endpoint's degree
     for u, w in problem.edges:
-        if position[u] <= i or position[w] <= i:
-            done[u] += 1
-            done[w] += 1
-    floor = {v: max(problem.s[v] - 1 - done[v], 0) for v in vertices}
-    sets = HakimiSets(remaining, floor)
-    return sets if len(sets.masks) else None
+        count = degree if position[u] > i and position[w] > i else done
+        count[u] += 1
+        count[w] += 1
+    floors = [min(max(s[v] - 1 - done[v], 0), d) for v, d in enumerate(degree)]
+    slack = sum(floors) - sum(degree) // 2
+    if slack >= 0:
+        return None
+    frontier = [v for v, d in enumerate(degree) if done[v] and floors[v] < d]
+    # the frontier's summands must reach the sum of its floors less the slack
+    most = sum(s[v] - 1 - floors[v] for v in frontier) + slack
+    return [(v, max(s[v] - 1 - degree[v], 0)) for v in frontier], most
 
 
-class HakimiSets:
-    """The vertex sets of one turn's remaining graph worth testing.
+def _prune_unreachable(layout, terms, bound):
+    """Drop terms whose degree budget cannot hold the remaining edges.
 
-    Hakimi (1965): a graph can be oriented with outdegree at most b(v) at
-    every vertex if and only if e(X) <= sum of b over X for every vertex
-    set X, where e(X) counts the edges inside X.  A set with a vertex that
-    has no neighbour inside it is implied by the set without that vertex
-    (b is never negative), so it is left out.  So is every set that the
-    budget floor, a lower bound on b known in advance, already satisfies.
+    Each remaining edge raises one endpoint's degree, so a term with
+    degrees f can finish only if the sum over the remaining vertices of
+    min(s(v) - 1 - f(v), d(v)), d(v) the degree in the remaining graph,
+    is at least its edge count: Hakimi's (1965) orientation inequality for
+    the one set of all remaining vertices.  ``bound`` is the part of it
+    that varies (``_turn_bound``).  The final terms do not change.
     """
-
-    def __init__(self, remaining_edges, floor):
-        self.vertices = sorted({v for e in remaining_edges for v in e})
-        index = {v: j for j, v in enumerate(self.vertices)}
-        adjacent = [0] * len(self.vertices)
-        for u, w in remaining_edges:
-            adjacent[index[u]] |= 1 << index[w]
-            adjacent[index[w]] |= 1 << index[u]
-        self.degrees = [nbrs.bit_count() for nbrs in adjacent]
-        # built one vertex at a time over all sets X of the vertices so
-        # far, indexed by mask: adding j to X adds |X & N(j)| edges, makes
-        # j lonely when that is 0, and ends the loneliness of j's neighbours
-        edges_in = np.zeros(1, dtype=np.int64)
-        lonely = np.zeros(1, dtype=np.int64)
-        for j, nbrs in enumerate(adjacent):
-            shared = np.arange(1 << j) & nbrs
-            edges_in = np.concatenate((edges_in, edges_in + np.bitwise_count(shared)))
-            lonely = np.concatenate(
-                (lonely, (lonely & ~nbrs) | np.where(shared == 0, 1 << j, 0))
-            )
-        floor = [min(floor[v], d) for v, d in zip(self.vertices, self.degrees)]
-        least = subset_sums(np.array(floor, dtype=np.int64))
-        self.masks = np.flatnonzero((lonely == 0) & (edges_in > least))
-        self.edges_in = edges_in[self.masks].astype(np.float32)
-
-    def members(self, masks):
-        """0/1 matrix of shape (vertices, len(masks)): j is in set x."""
-        octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
-        k = len(self.vertices)
-        bits = np.unpackbits(octets, axis=1, count=k, bitorder="little")
-        return bits.T.astype(np.float32)
-
-
-def _prune_unreachable(layout, terms, sets):
-    """Drop terms that no orientation of the remaining edges can complete.
-
-    A term with degrees f can still reach a witness only if the remaining
-    edges can be oriented so that every vertex v gains at most
-    b(v) = s(v) - 1 - f(v) outgoing edges.  Checked exactly by the Hakimi
-    inequalities of ``sets``; sets that every term satisfies (judged by
-    the smallest budget per vertex) are skipped.
-    """
-    s = layout.problem.s
+    frontier, most = bound
     mask = np.uint64(layout.field_mask)
-    # a budget past v's remaining degree is never used; capped, every sum
-    # stays below 2^24 and so is exact in float32
-    budgets = np.empty((len(terms), len(sets.vertices)), dtype=np.float32, order="F")
-    for j, v in enumerate(sets.vertices):
-        field = (terms.keys[:, layout.v_word[v]] >> np.uint64(layout.v_shift[v])) & mask
-        budgets[:, j] = np.minimum(s[v] - 1 - field.astype(np.int64), sets.degrees[j])
-    tight = sets.edges_in > subset_sums(budgets.min(axis=0))[sets.masks]
-    if not tight.any():
-        return terms
-    members = sets.members(sets.masks[tight])
-    edges_in = sets.edges_in[tight]
-    keep = np.empty(len(terms), dtype=bool)
-    rows = max(1, _HAKIMI_BLOCK // len(edges_in))
-    for a in range(0, len(terms), rows):
-        keep[a : a + rows] = (budgets[a : a + rows] @ members >= edges_in).all(axis=1)
+    total = np.zeros(len(terms), dtype=np.uint64)
+    for v, c in frontier:
+        field = terms.keys[:, layout.v_word[v]] >> np.uint64(layout.v_shift[v])
+        field &= mask
+        total += np.maximum(field, np.uint64(c), out=field)
+    keep = total <= most
     if keep.all():
         return terms
     keep = np.flatnonzero(keep)

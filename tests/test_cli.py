@@ -281,6 +281,17 @@ def test_bad_branch_limit_exits_3(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_bad_branch_limit_exits_3_where_the_reductions_decide(tmp_path, capsys):
+    # R2 refutes a triangle with lists of size 1 before any product runs
+    triangle = Problem(n=3, s=(1, 1, 1), edges=((0, 1), (0, 2), (1, 2)))
+    path = write_problem(tmp_path, triangle)
+    assert run_cli(capsys, ["decide", path])[0] == 1
+    code, out, err = run_cli(capsys, ["decide", path, "--branch-limit", "-5"])
+    assert code == 3
+    assert out == ""
+    assert "error:" in err and "branch limit" in err
+
+
 @pytest.mark.parametrize("command", ["decide", "coefficients", "bench"])
 def test_list_size_past_one_word_exits_3(monkeypatch, capsys, command):
     # 2^70 needs a 71-bit degree field, wider than a packed key word

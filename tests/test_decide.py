@@ -688,6 +688,18 @@ def test_pipeline_rejects_a_cap_below_one(cap):
         pipeline_decide(cycle(5), **{cap: 0})
 
 
+@pytest.mark.parametrize(
+    "bad", [{"heuristic": "BOGUS"}, {"branch_limit": 0}, {"branch_limit": -5}]
+)
+def test_pipeline_rejects_bad_settings_the_reductions_would_not_use(bad):
+    # R2 refutes both problems before any stage runs
+    triangle = Problem(n=3, s=(1, 1, 1), edges=((0, 1), (0, 2), (1, 2)))
+    assert pipeline_decide(triangle).status == NOT_CHOOSABLE
+    for p in (triangle, generate_family("cycle-triangles", 3)):
+        with pytest.raises(ValueError):
+            pipeline_decide(p, **bad)
+
+
 def test_pipeline_feasible_cap_gives_unknown():
     verdict = pipeline_decide(fan(), feasible_cap=4)
     assert verdict.status == UNKNOWN

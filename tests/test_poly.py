@@ -4,6 +4,7 @@ import inspect
 import itertools
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -510,67 +511,71 @@ def test_matching_prune_keeps_results():
         random_problem(rng, n_range=(4, 7), m_cap=10, name="pm%d" % i)
         for i in range(4)
     ]
-    for p in problems:
-        plain, _, plain_stats = collect(p)
-        pruned, _, pruned_stats = collect(p, prune_matching=True)
+    for p, limit in itertools.product(problems, (1, 50, None)):
+        plain, _, plain_stats = collect(p, branch_limit=limit)
+        pruned, _, pruned_stats = collect(p, branch_limit=limit, prune_matching=True)
         assert sorted(plain.terms) == sorted(pruned.terms)
         assert pruned_stats.total_monomials <= plain_stats.total_monomials
 
 
-@pytest.mark.parametrize("branch_limit", [50, None])
-def test_hakimi_prune_keeps_exactly_the_orientable_terms(monkeypatch, branch_limit):
-    turn_sets = poly._turn_sets
+class _Bound(tuple):
+    """A turn's bound as the prune takes it, with the turn's remaining
+    edges and whether the run would have skipped the turn."""
+
+
+def test_prune_drops_exactly_the_terms_failing_the_count(monkeypatch):
+    turn_bound = poly._turn_bound
     prune = poly._prune_unreachable
     dropped = []
 
     def every_turn(problem, position, i):
-        sets = turn_sets(problem, position, i)
-        edges = [e for e in problem.edges if position[e[0]] > i and position[e[1]] > i]
-        if sets is None and edges:
-            # a turn the floor skips must drop nothing: test it on all sets
-            sets = poly.HakimiSets(edges, dict.fromkeys(range(problem.n), 0))
-            sets.skipped = True
-        if sets is not None:
-            sets.edges = edges
-        return sets
+        remaining = [e for e in problem.edges if min(position[e[0]], position[e[1]]) > i]
+        bound = turn_bound(problem, position, i)
+        skipped = bound is None
+        if skipped and not remaining:
+            return None
+        if skipped:
+            # tested on every remaining vertex v, in the prune's form: the
+            # sum of max(f(v), s(v) - 1 - d(v), 0) is at most the sum of
+            # s(v) - 1 less the remaining edge count.  It must drop nothing.
+            degree = Counter(v for e in remaining for v in e)
+            s = problem.s
+            bound = (
+                [(v, max(s[v] - 1 - d, 0)) for v, d in sorted(degree.items())],
+                sum(s[v] - 1 for v in degree) - len(remaining),
+            )
+        tested = _Bound(bound)
+        tested.edges, tested.skipped = remaining, skipped
+        return tested
 
-    def checked(layout, terms, sets):
-        kept = prune(layout, terms, sets)
-        kept_keys = {tuple(int(x) for x in key) for key in kept.keys}
+    def checked(layout, terms, bound):
+        kept = prune(layout, terms, bound)
+        kept_keys = {key.tobytes() for key in kept.keys}
+        degree = Counter(v for e in bound.edges for v in e)
         degrees, _, _ = unpack_terms(layout, terms)
         s = layout.problem.s
         for key, f in zip(terms.keys, degrees):
             budget = {v: s[v] - 1 - int(f[v]) for v in range(layout.problem.n)}
-            expected = orientable_within_budget(sets.edges, budget)
-            assert (tuple(int(x) for x in key) in kept_keys) == expected
-        if getattr(sets, "skipped", False):
+            fits = sum(min(budget[v], d) for v, d in degree.items()) >= len(bound.edges)
+            assert (key.tobytes() in kept_keys) == fits
+            if not fits:
+                assert not orientable_within_budget(bound.edges, budget)
+        if bound.skipped:
             assert len(kept) == len(terms)
         dropped.append(len(terms) - len(kept))
         return kept
 
-    monkeypatch.setattr(poly, "_turn_sets", every_turn)
+    monkeypatch.setattr(poly, "_turn_bound", every_turn)
     monkeypatch.setattr(poly, "_prune_unreachable", checked)
     rng = random.Random(53)
-    for i in range(40):
-        p = random_problem(rng, n_range=(4, 10), m_cap=20, name="hk%d" % i)
-        collect(p, branch_limit=branch_limit, heuristic="MD+PROC", prune_matching=True)
-    assert len(dropped) > 100 and sum(dropped) > 0
-
-
-def test_prune_skips_turns_above_the_vertex_bound(monkeypatch):
-    p = cycle(poly.HAKIMI_MAX_VERTICES + 2)
-    prune = poly._prune_unreachable
-    sizes = []
-
-    def spy(layout, terms, sets):
-        sizes.append(len(sets.vertices))
-        return prune(layout, terms, sets)
-
-    plain, _, _ = collect(p)
-    monkeypatch.setattr(poly, "_prune_unreachable", spy)
-    pruned, _, _ = collect(p, prune_matching=True)
-    assert sorted(pruned.terms) == sorted(plain.terms)
-    assert sizes and max(sizes) == poly.HAKIMI_MAX_VERTICES
+    problems = [
+        random_problem(rng, n_range=(4, 10), m_cap=20, name="hk%d" % i) for i in range(40)
+    ]
+    for p in problems:
+        for heuristic in ("MD+PROC", "INPUT", "VSEP"):
+            for branch_limit in (1, 50, None):
+                collect(p, branch_limit=branch_limit, heuristic=heuristic, prune_matching=True)
+    assert len(dropped) > 1000 and sum(dropped) > 0
 
 
 def test_overflow_raises():
