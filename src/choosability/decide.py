@@ -7,10 +7,10 @@ for any surviving monomial of full degree, which certifies
 choosability.  The extended path keeps tight-marker terms, turns every
 group with a common degree base into a linear constraint on the 0/1
 characteristic vectors of colors, and works through feasible vectors
-and deletable edges to candidate list assignments.  Each goes to the
-coloring search as the pattern search finds it, and the first one that
-cannot be colored ends the search; when every one colors, or there is
-none, the component is choosable.
+to candidate list assignments (deletable edges are only reported).
+Each goes to the coloring search as the pattern search finds it, and
+the first one that cannot be colored ends the search; when every one
+colors, or there is none, the component is choosable.
 """
 
 from __future__ import annotations
@@ -309,91 +309,21 @@ def find_deletable_edges(masks, p: Problem):
     return out
 
 
-def _candidate_order(masks, n: int):
-    """The distinct nonzero masks, densest first, then the largest
-    vector read with vertex 0 as its most significant digit."""
-    masks = np.sort(np.asarray(masks, dtype=np.int64))
-    keep = masks != 0
-    keep[1:] &= masks[1:] != masks[:-1]
-    masks = masks[keep]
-    reversed_bits = np.zeros_like(masks)
-    for v in range(n):
-        reversed_bits |= (masks >> v & 1) << (n - 1 - v)
-    order = np.lexsort((reversed_bits, np.bitwise_count(masks)))
-    return masks[order[::-1]]
-
-
 def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP, stop=None):
-    """Multisets of nonzero feasible vectors, given by their masks, with
-    componentwise sum equal to s; each pattern lists (0/1 tuple,
-    multiplicity) pairs.
-
-    Vectors are scanned densest first with multiplicities counted down, so
-    the output order is deterministic.  Each pattern found is passed to
-    ``stop``, when given, before the search goes on; the first pattern for
-    which it is true ends the search and the list.  Raises
-    PatternCapExceeded once a pattern past the first cap is found, before
-    ``stop`` sees it.
-
-    ``pos`` is the mask of vertices whose residual is still positive and
-    ``suffix[i]`` the union of the masks from i on.  A node walks the
-    candidates from its start: it stops once ``pos`` leaves ``suffix[i]``
-    (nothing left can cover some vertex), passes over a mask that meets a
-    finished vertex (0 is its only multiplicity), and otherwise tries the
-    multiplicities from the largest down to 1.  Multiplicity 0 is the next
-    loop step, so the recursion is only as deep as the number of vectors
-    chosen, at most sum(s).  Supports and tuples are built only for the
-    candidates a node tries.
-    """
-    n = len(s)
-    cand = _candidate_order(masks, n)
-    suffix = np.bitwise_or.accumulate(cand[::-1])[::-1].tolist() + [0]
-    cand = cand.tolist()
-    # (support, 0/1 tuple) of each candidate, built when first tried
-    tried = [None] * len(cand)
-    residual = list(s)
-    chosen = []
+    """``oracle.walk_patterns`` over the masks of the nonzero feasible
+    vectors, as the list of the patterns it finds.  Each is passed to
+    ``stop``, when given, and the first for which it is true ends the
+    search and the list.  Raises PatternCapExceeded once a pattern past
+    the first cap is found, before ``stop`` sees it."""
     found = []
 
-    def search(start: int, pos: int) -> bool:
-        """Extend ``chosen``; true once ``stop`` ends the search."""
-        if not pos:
-            if len(found) == cap:
-                raise PatternCapExceeded(cap)
-            found.append(tuple(chosen))
-            return stop is not None and stop(found[-1])
-        for i in range(start, len(cand)):
-            if pos & ~suffix[i]:
-                return False
-            mask = cand[i]
-            if mask & ~pos:
-                continue
-            if tried[i] is None:
-                tried[i] = (
-                    [v for v in range(n) if mask >> v & 1],
-                    tuple(mask >> v & 1 for v in range(n)),
-                )
-            sup, vec = tried[i]
-            top = min(residual[v] for v in sup)
-            for v in sup:
-                residual[v] -= top
-            # only the largest multiplicity finishes a vertex
-            done = sum(1 << v for v in sup if residual[v] == 0)
-            chosen.append((vec, top))
-            if search(i + 1, pos & ~done):
-                return True
-            for mult in range(top - 1, 0, -1):
-                for v in sup:
-                    residual[v] += 1
-                chosen[-1] = (vec, mult)
-                if search(i + 1, pos):
-                    return True
-            chosen.pop()
-            for v in sup:
-                residual[v] += 1
-        return False
+    def visit(pattern) -> bool:
+        if len(found) == cap:
+            raise PatternCapExceeded(cap)
+        found.append(pattern)
+        return stop is not None and stop(pattern)
 
-    search(0, sum(1 << v for v, r in enumerate(s) if r))
+    oracle.walk_patterns(masks, s, visit)
     return found
 
 

@@ -4,10 +4,15 @@ Everything here is independent of the packed-term engine: coefficients
 come from orientation counting, colorability from backtracking search, and
 choosability from exhaustive enumeration of list assignments up to color
 renaming.  Intended for small instances and for validating the fast path.
+
+Its enumeration, ``walk_patterns``, is also the pipeline's pattern
+search; the tests check it against independent reference searches.  The
+oracle still reads no coefficient, constraint row or feasible vector.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -262,91 +267,120 @@ def _color_lists(n, adj, lists):
     return color[:] if walk() else None
 
 
-def brute_force_choosable(
-    p: Problem,
-    max_vertices: int = 8,
-    max_total: int = 24,
-    max_nodes: int = 5_000_000,
-):
-    """Exhaustive choosability check over assignments up to color renaming.
+def _candidate_order(masks, n: int):
+    """The distinct nonzero masks, densest first, then the largest
+    vector read with vertex 0 as its most significant digit."""
+    masks = np.sort(np.asarray(masks, dtype=np.int64))
+    keep = masks != 0
+    keep[1:] &= masks[1:] != masks[:-1]
+    masks = masks[keep]
+    reversed_bits = np.zeros_like(masks)
+    for v in range(n):
+        reversed_bits |= (masks >> v & 1) << (n - 1 - v)
+    order = np.lexsort((reversed_bits, np.bitwise_count(masks)))
+    return masks[order[::-1]]
 
-    Colorability from a list assignment depends only on which vertices
-    share each color, so it suffices to enumerate multisets of nonzero
-    0/1 vectors whose multiplicities sum componentwise to the list sizes.
-    Returns (True, None) when every such assignment is colorable, else
-    (False, witness) with the first non-colorable pattern found.  Vectors
-    are tried densest first, each with its multiplicities counted down.
-    Refuses inputs beyond the size limits, and raises OracleLimitError
-    once the search has made more than max_nodes calls.
 
-    Vectors are bitmasks and ``suffix[i]`` is the union of the masks from
-    i on, so a node stops as soon as a vertex with list left to fill
-    (a bit of ``pos``) is outside it, and passes over a mask that meets a
-    filled vertex.  Multiplicity 0 is the next loop step rather than a
-    call, so the recursion depth is at most the total list size.
+def walk_patterns(masks, s, visit, max_nodes=None):
+    """The first multiset of nonzero vectors, given by their masks, with
+    componentwise sum s that ``visit`` accepts, or None.
+
+    Over all nonzero masks these are the list assignments with sizes s up
+    to color renaming, which is all that colorability depends on.  A
+    pattern is a tuple of (0/1 tuple, multiplicity) pairs, passed to
+    ``visit`` as it is found and not kept: a walk can meet millions.
+    Vectors go densest first, multiplicities counted down.  Past max_nodes
+    search calls, a pattern's own included, raises OracleLimitError.
+
+    ``pos`` is the mask of vertices whose residual is still positive and
+    ``suffix[i]`` the union of the masks from i on.  A node walks the
+    candidates from its start: it stops once ``pos`` leaves ``suffix[i]``
+    (nothing left can cover some vertex), passes over a mask that meets a
+    finished vertex, and otherwise tries the multiplicities from the
+    largest down to 1.  Multiplicity 0 is the next loop step, so the
+    recursion is at most sum(s) deep.  Supports and tuples are built only
+    for the candidates a node tries.
     """
+    n = len(s)
+    cand = _candidate_order(masks, n)
+    suffix = np.bitwise_or.accumulate(cand[::-1])[::-1].tolist() + [0]
+    cand = cand.tolist()
+    # (support, 0/1 tuple) of each candidate, built when first tried
+    tried = [None] * len(cand)
+    residual = list(s)
+    chosen = []
+    left = math.inf if max_nodes is None else max_nodes
+
+    def search(start: int, pos: int):
+        """Extend ``chosen``; the pattern ``visit`` accepts, or None."""
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise OracleLimitError("node budget exhausted")
+        if not pos:
+            pattern = tuple(chosen)
+            return pattern if visit(pattern) else None
+        for i in range(start, len(cand)):
+            if pos & ~suffix[i]:
+                return None
+            mask = cand[i]
+            if mask & ~pos:
+                continue
+            if tried[i] is None:
+                vec = tuple(mask >> v & 1 for v in range(n))
+                tried[i] = ([v for v in range(n) if vec[v]], vec)
+            sup, vec = tried[i]
+            top = min(map(residual.__getitem__, sup))
+            done = 0  # only the largest multiplicity finishes a vertex
+            for v in sup:
+                residual[v] -= top
+                if not residual[v]:
+                    done |= 1 << v
+            chosen.append((vec, top))
+            hit = search(i + 1, pos & ~done)
+            mult = top
+            while hit is None and mult > 1:
+                mult -= 1
+                for v in sup:
+                    residual[v] += 1
+                chosen[-1] = (vec, mult)
+                hit = search(i + 1, pos)
+            if hit is not None:
+                return hit
+            chosen.pop()
+            for v in sup:
+                residual[v] += 1
+        return None
+
+    return search(0, sum(1 << v for v, r in enumerate(s) if r))
+
+
+def brute_force_choosable(
+    p: Problem, max_vertices: int = 8, max_total: int = 24, max_nodes: int = 5_000_000
+):
+    """``walk_patterns`` over every nonzero mask on p's vertices, each
+    pattern colored as it is found: (True, None) when every one colors,
+    else (False, the first that does not).  Refuses inputs beyond the
+    size limits, and searches past max_nodes calls, with OracleLimitError."""
     if p.n > max_vertices:
         raise OracleLimitError("too many vertices for brute force")
     if sum(p.s) > max_total:
         raise OracleLimitError("total list size too large for brute force")
-    vectors = []
-    for mask in range(1, 1 << p.n):
-        vec = tuple((mask >> v) & 1 for v in range(p.n))
-        vectors.append(vec)
-    vectors.sort(key=lambda vec: (-sum(vec), tuple(-x for x in vec)))
-    supports = [[v for v, x in enumerate(vec) if x] for vec in vectors]
-    masks = [sum(1 << v for v in sup) for sup in supports]
-    suffix = masks + [0]
-    for i in range(len(masks) - 1, -1, -1):
-        suffix[i] |= suffix[i + 1]
-    adj = p.adjacency()
-    residual = list(p.s)
-    chosen = []  # (candidate index, multiplicity)
-    budget = [max_nodes]
+    n, adj = p.n, p.adjacency()
+    supports = {}  # the vertices of each vector, built when first met
 
-    def colorable() -> bool:
-        lists = [0] * p.n
+    def uncolorable(pattern) -> bool:
+        lists = [0] * n
         t = 0
-        for i, mult in chosen:
+        for vec, mult in pattern:
             colors = ((1 << mult) - 1) << t
-            for v in supports[i]:
+            sup = supports.get(vec)
+            if sup is None:
+                sup = supports[vec] = [v for v, x in enumerate(vec) if x]
+            for v in sup:
                 lists[v] |= colors
             t += mult
-        return _color_lists(p.n, adj, lists) is not None
+        return _color_lists(n, adj, lists) is None
 
-    def search(start: int, pos: int):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise OracleLimitError("node budget exhausted")
-        if not pos:
-            return None if colorable() else [(vectors[i], mult) for i, mult in chosen]
-        for i in range(start, len(masks)):
-            if pos & ~suffix[i]:
-                return None
-            if masks[i] & ~pos:
-                continue
-            sup = supports[i]
-            top = min(residual[v] for v in sup)
-            for v in sup:
-                residual[v] -= top
-            finished = sum(1 << v for v in sup if residual[v] == 0)
-            chosen.append((i, top))
-            bad = search(i + 1, pos & ~finished)
-            mult = top
-            while bad is None and mult > 1:
-                mult -= 1
-                for v in sup:
-                    residual[v] += 1
-                chosen[-1] = (i, mult)
-                bad = search(i + 1, pos)
-            chosen.pop()
-            for v in sup:
-                residual[v] += mult
-            if bad is not None:
-                return bad
-        return None
-
-    witness = search(0, sum(1 << v for v, r in enumerate(p.s) if r))
-    if witness is None:
-        return True, None
-    return False, tuple(witness)
+    witness = walk_patterns(np.arange(1 << n), p.s, uncolorable, max_nodes)
+    return (True, None) if witness is None else (False, witness)

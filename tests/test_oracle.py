@@ -305,3 +305,62 @@ def test_brute_force_matches_the_reference_search():
         assert got == _reference_brute_force(p), p
         outcomes.add(got[0])
     assert outcomes == {True, False}
+
+
+# brute_force_choosable's answers on problems past the reference search's
+# sizes, recorded before the oracle and the pipeline shared one walk; the
+# witness is the first uncolorable pattern in the walk's order
+FROZEN_BRUTE_FORCE = [
+    ((3, 1, 1, 4, 1, 1), ((0, 1), (0, 4), (1, 3), (2, 3), (3, 4)), (True, None)),
+    ((2, 1, 4, 2, 1, 1), ((0, 2), (0, 3), (0, 4), (2, 3), (2, 4)), (True, None)),
+    (
+        (3, 3, 2, 3, 2, 1),
+        ((0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)),
+        (False, (((1, 1, 1, 1, 1, 0), 2), ((1, 1, 0, 1, 0, 1), 1))),
+    ),
+    (
+        (2, 2, 3, 2, 2, 3, 2),
+        ((0, 2), (0, 4), (0, 6), (1, 2), (1, 5), (2, 4), (2, 5), (2, 6), (3, 5), (5, 6)),
+        (
+            False,
+            (
+                ((1, 1, 1, 1, 1, 1, 0), 1),
+                ((1, 1, 1, 1, 0, 1, 1), 1),
+                ((0, 0, 1, 0, 1, 1, 1), 1),
+            ),
+        ),
+    ),
+    (
+        (2, 3, 2, 2, 2, 2, 3),
+        (
+            (0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (1, 5),
+            (1, 6), (2, 4), (2, 6), (3, 4), (3, 5), (3, 6),
+        ),
+        (
+            False,
+            (
+                ((1, 1, 1, 1, 1, 1, 0), 1),
+                ((1, 1, 0, 1, 1, 0, 1), 1),
+                ((0, 1, 0, 0, 0, 1, 1), 1),
+                ((0, 0, 1, 0, 0, 0, 1), 1),
+            ),
+        ),
+    ),
+    (
+        (2, 1, 3, 3, 3, 1, 1, 2),
+        ((0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (1, 7), (2, 6), (2, 7), (4, 6)),
+        (
+            False,
+            (
+                ((1, 1, 1, 1, 1, 1, 1, 1), 1),
+                ((1, 0, 1, 1, 1, 0, 0, 1), 1),
+                ((0, 0, 1, 1, 1, 0, 0, 0), 1),
+            ),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("s, edges, expected", FROZEN_BRUTE_FORCE)
+def test_brute_force_witness_order_at_six_to_eight_vertices(s, edges, expected):
+    assert brute_force_choosable(Problem(n=len(s), s=s, edges=edges)) == expected
