@@ -25,7 +25,6 @@ from .graphs import (
     FIXED_HEURISTICS,
     HEURISTICS,
     Problem,
-    ProblemFormatError,
     format_problem,
     generate_family,
     order_vertices,
@@ -165,6 +164,12 @@ def _report(p: Problem, config: dict, args, **fields) -> dict:
     }
 
 
+def _print_pattern(pattern) -> None:
+    """A bad list assignment, as ``oracle.pattern_json`` encodes it."""
+    for entry in pattern:
+        print("  vector %s x%d" % (entry["vector"], entry["multiplicity"]))
+
+
 def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, sort_keys=True))
@@ -184,10 +189,7 @@ def _print_report(report: dict, as_json: bool) -> None:
         if cert["kind"] == "WitnessMonomial":
             print("  f = %s  coefficient = %d" % (cert["f"], cert["coefficient"]))
         elif cert["kind"] == "BadAssignment":
-            for entry in cert["pattern"]:
-                print(
-                    "  vector %s x%d" % (entry["vector"], entry["multiplicity"])
-                )
+            _print_pattern(cert["pattern"])
         elif cert["kind"] == "AllPatternsColorable":
             print("  patterns checked: %d" % cert["count"])
     if report["reason"]:
@@ -314,27 +316,12 @@ def _cmd_oracle(args) -> int:
     except oracle_mod.OracleLimitError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_CODES[decide_mod.UNKNOWN]
+    pattern = None if ok else oracle_mod.pattern_json(witness)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "choosable": ok,
-                    "witness": None
-                    if witness is None
-                    else [
-                        {"vector": list(vec), "multiplicity": mult}
-                        for vec, mult in witness
-                    ],
-                }
-            )
-        )
+        print(json.dumps({"choosable": ok, "witness": pattern}))
     else:
-        if ok:
-            print("choosable")
-        else:
-            print("not choosable")
-            for vec, mult in witness:
-                print("  vector %s x%d" % (list(vec), mult))
+        print("choosable" if ok else "not choosable")
+        _print_pattern(pattern or [])
     return 0 if ok else 1
 
 
@@ -430,7 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ProblemFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ProblemFormatError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

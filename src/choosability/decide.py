@@ -52,7 +52,7 @@ class Settings:
     The matching prune (``run_truncated_product``) acts on the standard
     stage.  The heuristic must be one of ``HEURISTICS``; it defaults to
     AUTO, which picks an ordering per problem.  The branch limit is None
-    or at least 1; both caps are at least 1.  Every setting is checked
+    or an int >= 1; both caps are ints >= 1.  Every setting is checked
     here, as the reductions may settle a problem without using them.
     """
 
@@ -68,10 +68,9 @@ class Settings:
             raise ValueError("mode must be one of %s" % ", ".join(MODES))
         if self.heuristic not in HEURISTICS:
             raise ValueError("unknown heuristic %r" % (self.heuristic,))
-        if self.branch_limit is not None and self.branch_limit < 1:
-            raise ValueError("branch limit must be positive")
-        if min(self.pattern_cap, self.feasible_cap) < 1:
-            raise ValueError("the pattern and feasible caps must be at least 1")
+        limit = 1 if self.branch_limit is None else self.branch_limit
+        if any(type(x) is not int or x < 1 for x in (limit, self.pattern_cap, self.feasible_cap)):
+            raise ValueError("the branch limit must be None or an int >= 1, and so must both caps")
 
 
 class FeasibleSearchTooLarge(Exception):
@@ -84,6 +83,11 @@ class PatternCapExceeded(Exception):
     def __init__(self, cap):
         super().__init__("more than %d assignment patterns" % cap)
         self.cap = cap
+
+
+# What a stage that cannot finish raises, and the UNKNOWN reason it gives
+_GIVE_UPS = {CoefficientOverflow: "Overflow", PatternCapExceeded: "TooManyPatterns",
+             FeasibleSearchTooLarge: "FeasibleSearchTooLarge"}
 
 
 @dataclass(frozen=True)
@@ -327,12 +331,6 @@ def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP, stop
     return found
 
 
-def _pattern_json(pattern):
-    return [
-        {"vector": list(vec), "multiplicity": int(mult)} for vec, mult in pattern
-    ]
-
-
 def _reduce(p: Problem):
     """R1 and R2 to a fixpoint, or until R2 empties a list: the adjacency,
     list sizes and vertices left, and the deletions as (rule, v, its
@@ -373,16 +371,17 @@ def _gallai_colors(adj, s, found):
     return list(Counter(frozenset(c) for c in colors if c).items())
 
 
-def _lift_bad(n: int, colors, vs, live, s, steps):
-    """A BadAssignment on the input graph from uncolorable lists of the
-    component on ``vs``: other live vertices get colors of their own, and
-    each deletion undone, last first, adds R2's one color on v and its
-    neighbours or R1's s(v) on v alone."""
+def _lift_bad(n: int, colors, vs, live, s, steps, details) -> Verdict:
+    """NOT_CHOOSABLE, with ``details``, by a BadAssignment on the input
+    graph from uncolorable lists of the component on ``vs``: other live
+    vertices get colors of their own, and each deletion undone, last
+    first, adds R2's one color on v and its neighbours or R1's s(v) on v."""
     colors = colors + [({w}, s[w]) for w in sorted(live.difference(vs)) if s[w]]
     for rule, v, nbrs, size in reversed(steps):
         colors.append(({v, *nbrs}, 1) if rule == "R2" else ({v}, size))
     pattern = [([int(v in c) for v in range(n)], mult) for c, mult in colors]
-    return {"kind": "BadAssignment", "pattern": _pattern_json(pattern)}
+    cert = {"kind": "BadAssignment", "pattern": oracle.pattern_json(pattern)}
+    return Verdict(NOT_CHOOSABLE, cert, details=details)
 
 
 def pipeline_decide(p: Problem, **settings) -> Verdict:
@@ -405,8 +404,7 @@ def pipeline_decide(p: Problem, **settings) -> Verdict:
                               "components": len(parts), "decided_by": decided_by}}
     if refuted or gallai:
         vs, colors = gallai or ([], [])
-        cert = _lift_bad(p.n, colors, vs, live, s, steps)
-        return Verdict(NOT_CHOOSABLE, cert, details=details)
+        return _lift_bad(p.n, colors, vs, live, s, steps, details)
 
     runs = []
     for vs, _ in parts:
@@ -427,10 +425,9 @@ def pipeline_decide(p: Problem, **settings) -> Verdict:
                 details[key] = {k: (max if k == "peak_terms" else sum)(x[k] for x in stats)
                                 for k in stats[0]}
         if run.status == NOT_CHOOSABLE:
-            colors = [({vs[i] for i, x in enumerate(c["vector"]) if x}, c["multiplicity"])
-                      for c in run.certificate["pattern"]]
-            cert = _lift_bad(p.n, colors, vs, live, s, steps)
-            return Verdict(NOT_CHOOSABLE, cert, details=details)
+            colors = [({vs[i] for i, x in enumerate(vec) if x}, mult)
+                      for vec, mult in run.certificate["pattern"]]
+            return _lift_bad(p.n, colors, vs, live, s, steps, details)
         if run.status == UNKNOWN or run.certificate["kind"] != "WitnessMonomial":
             cert = run.certificate and dict(run.certificate, vertices=vs)
             return Verdict(run.status, cert, run.reason, details)
@@ -457,11 +454,11 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
     "standard" stops; constraint collection; the feasible-vector scan;
     deletable edges; and the pattern search, which colors each candidate
     assignment as it is found and stops at the first that cannot be
-    colored.  Every assignment coloring, none at all included, gives
-    ``AllPatternsColorable``.  A search needing more than the pattern cap
-    ends UNKNOWN ``TooManyPatterns``; any stage that cannot finish gives
-    UNKNOWN, its partial findings kept.  No list may be longer than its
-    vertex's degree, as after R1."""
+    colored, as a ``BadAssignment`` of the walk's own pattern.  Every
+    assignment coloring, none at all included, gives
+    ``AllPatternsColorable``.  A stage that cannot finish gives UNKNOWN,
+    its reason from the table ``_GIVE_UPS`` and its findings so far kept.
+    No list may be longer than its vertex's degree, as after R1."""
     ordering = order_vertices(p, settings.heuristic)
     estimate = product_estimate(p, ordering.order)
     details = {"ordering": {"heuristic": ordering.heuristic, "estimate": estimate}}
@@ -478,41 +475,35 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
             return Verdict(UNKNOWN, reason="NoWitness", details=details)
         basis, stats = collect_constraints(p, ordering, settings.branch_limit)
         details["extended_stats"] = asdict(stats)
-    except CoefficientOverflow as exc:
-        details["overflow"] = str(exc)
-        return Verdict(UNKNOWN, reason="Overflow", details=details)
+        details["constraint_rank"] = basis.rank
+        details["constraint_rows_offered"] = basis.offered
+        if basis.rank == 0:
+            return Verdict(UNKNOWN, reason="NoConstraints", details=details)
 
-    details["constraint_rank"] = basis.rank
-    details["constraint_rows_offered"] = basis.offered
-    if basis.rank == 0:
-        return Verdict(UNKNOWN, reason="NoConstraints", details=details)
-
-    try:
         masks = enumerate_feasible_vectors(basis, p.n, settings.feasible_cap)
-    except FeasibleSearchTooLarge:
-        return Verdict(UNKNOWN, reason="FeasibleSearchTooLarge", details=details)
-    nonzero = masks[masks != 0]
-    details["feasible_vectors"] = len(masks)
-    details["deletable_edges"] = [list(e) for e in find_deletable_edges(nonzero, p)]
+        nonzero = masks[masks != 0]
+        details["feasible_vectors"] = len(masks)
+        details["deletable_edges"] = [list(e) for e in find_deletable_edges(nonzero, p)]
 
-    color = oracle.pattern_colorer(p)
-    bad = []
+        color = oracle.pattern_colorer(p)
+        bad = []
 
-    def uncolorable(pattern) -> bool:
-        if color(pattern) is not None:
-            return False
-        bad.append(pattern)
-        return True
+        def uncolorable(pattern) -> bool:
+            if color(pattern) is not None:
+                return False
+            bad.append(pattern)
+            return True
 
-    try:
         patterns = enumerate_assignment_patterns(
             nonzero, p.s, settings.pattern_cap, stop=uncolorable
         )
-    except PatternCapExceeded:
-        return Verdict(UNKNOWN, reason="TooManyPatterns", details=details)
+    except tuple(_GIVE_UPS) as exc:
+        if isinstance(exc, CoefficientOverflow):
+            details["overflow"] = str(exc)
+        return Verdict(UNKNOWN, reason=_GIVE_UPS[type(exc)], details=details)
     details["pattern_count"] = len(patterns)
     if bad:
-        cert = {"kind": "BadAssignment", "pattern": _pattern_json(bad[0])}
+        cert = {"kind": "BadAssignment", "pattern": bad[0]}
         return Verdict(NOT_CHOOSABLE, cert, details=details)
     cert = {"kind": "AllPatternsColorable", "count": len(patterns)}
     return Verdict(CHOOSABLE, cert, details=details)

@@ -22,7 +22,12 @@ AUTO_ESTIMATE_LIMIT = 10**5
 
 
 class ProblemFormatError(ValueError):
-    """Raised when a problem file or construction parameter is invalid."""
+    """Raised when a problem file or construction parameter is invalid;
+    ``edge`` is the index of the offending edge, if an edge is at fault."""
+
+    def __init__(self, message, edge=None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -52,18 +57,16 @@ class Problem:
                 raise ProblemFormatError("list size of vertex %d must be >= 1" % v)
             if sv.bit_length() > 64:
                 raise ProblemFormatError("list size %d does not fit in a 64-bit field" % sv)
-        norm = []
-        seen = set()
-        for u, v in self.edges:
+        norm = {}  # the normalized edges, in order
+        for i, (u, v) in enumerate(self.edges):
             if u == v:
-                raise ProblemFormatError("self-loop at vertex %d" % u)
+                raise ProblemFormatError("self-loop at vertex %d" % u, i)
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ProblemFormatError("edge {%d,%d} out of range" % (u, v))
+                raise ProblemFormatError("edge {%d,%d} out of range" % (u, v), i)
             e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ProblemFormatError("duplicate edge {%d,%d}" % e)
-            seen.add(e)
-            norm.append(e)
+            if e in norm:
+                raise ProblemFormatError("duplicate edge {%d,%d}" % e, i)
+            norm[e] = None
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -116,7 +119,8 @@ def parse_problem(text: str, name: str = "") -> Problem:
 
     Line 1: `n m`.  Line 2: n list sizes.  Then m lines `u v` with 0-based
     endpoints.  Lines starting with '#' are comments; blank lines are
-    skipped.  Errors carry the 1-based line number of the offending line.
+    skipped.  Token and edge errors carry the 1-based number of the line
+    at fault; ``Problem`` checks the edges, and names the one at fault.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,21 +152,13 @@ def parse_problem(text: str, name: str = "") -> Problem:
     body = rows[2:]
     if len(body) != m:
         raise ProblemFormatError("expected %d edge lines, found %d" % (m, len(body)))
-    edges = []
-    seen = set()
-    for row in body:
-        u, v = ints(row, 2, "endpoints")
-        lineno = row[0]
-        if u == v:
-            raise ProblemFormatError("line %d: self-loop at %d" % (lineno, u))
-        if not (0 <= u < n and 0 <= v < n):
-            raise ProblemFormatError("line %d: endpoint out of range" % lineno)
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise ProblemFormatError("line %d: duplicate edge {%d,%d}" % (lineno, u, v))
-        seen.add(e)
-        edges.append(e)
-    return Problem(n, tuple(s), tuple(edges), name)
+    edges = tuple(tuple(ints(row, 2, "endpoints")) for row in body)
+    try:
+        return Problem(n, tuple(s), edges, name)
+    except ProblemFormatError as exc:
+        if exc.edge is None:
+            raise
+        raise ProblemFormatError("line %d: %s" % (body[exc.edge][0], exc), exc.edge) from None
 
 
 def format_problem(p: Problem) -> str:

@@ -355,6 +355,11 @@ def walk_patterns(masks, s, visit, max_nodes=None):
     return search(0, sum(1 << v for v, r in enumerate(s) if r))
 
 
+def pattern_json(pattern):
+    """A pattern as JSON: how every report gives a bad list assignment."""
+    return [{"vector": list(vec), "multiplicity": int(mult)} for vec, mult in pattern]
+
+
 def brute_force_choosable(
     p: Problem, max_vertices: int = 8, max_total: int = 24, max_nodes: int = 5_000_000
 ):

@@ -20,6 +20,7 @@ from choosability import (
     brute_force_choosable,
     cli,
     color_from_pattern,
+    oracle,
     pipeline_decide,
     poly,
 )
@@ -490,6 +491,24 @@ def test_oracle_choosable_json(tmp_path, capsys):
         "choosable": False,
         "witness": [{"vector": [1, 1, 1, 1, 1], "multiplicity": 2}],
     }
+
+
+def test_decide_and_the_oracle_print_a_bad_assignment_alike(tmp_path, capsys):
+    p = generate_family("glued-cliques", 2, 3)
+    path = write_problem(tmp_path, p)
+
+    def vector_lines(out):
+        return [line for line in out.splitlines() if line.startswith("  vector ")]
+
+    decided = run_cli(capsys, ["decide", path])
+    brute = run_cli(capsys, ["oracle", "choosable", path])
+    assert decided[0] == brute[0] == 1
+    assert len(vector_lines(decided[1])) == 2
+    assert vector_lines(brute[1]) == vector_lines(decided[1])
+    code, out, _ = run_cli(capsys, ["oracle", "choosable", path, "--json"])
+    ok, witness = brute_force_choosable(p)
+    assert (code, ok) == (1, False)
+    assert json.loads(out)["witness"] == oracle.pattern_json(witness)
 
 
 @pytest.mark.parametrize("action", ["table", "choosable"])

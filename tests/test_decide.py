@@ -689,13 +689,19 @@ def test_pipeline_rejects_a_cap_below_one(cap):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"heuristic": "BOGUS"}, {"branch_limit": 0}, {"branch_limit": -5}]
+    "bad",
+    [{"heuristic": "BOGUS"}, {"branch_limit": 0}, {"branch_limit": -5},
+     {"pattern_cap": 1.5}, {"pattern_cap": True}, {"feasible_cap": 25.0},
+     {"branch_limit": True}, {"branch_limit": 2.5}],
 )
 def test_pipeline_rejects_bad_settings_the_reductions_would_not_use(bad):
-    # R2 refutes both problems before any stage runs
+    # R2 refutes the triangle before any stage runs; on the last problem
+    # the pattern count never equals 1.5, so such a cap would cap nothing
+    # and the search would walk on past the pattern where cap 1 stops it
     triangle = Problem(n=3, s=(1, 1, 1), edges=((0, 1), (0, 2), (1, 2)))
     assert pipeline_decide(triangle).status == NOT_CHOOSABLE
-    for p in (triangle, generate_family("cycle-triangles", 3)):
+    assert pipeline_decide(second_pattern_bad(), pattern_cap=1).reason == "TooManyPatterns"
+    for p in (triangle, generate_family("cycle-triangles", 3), second_pattern_bad()):
         with pytest.raises(ValueError):
             pipeline_decide(p, **bad)
 
@@ -719,6 +725,17 @@ def test_pipeline_overflow_is_reported(monkeypatch):
         "ordering": {"heuristic": "MD+PROC", "estimate": 11},
         "overflow": "forced",
     }
+
+
+def test_pipeline_overflow_in_the_extended_stage_is_reported(monkeypatch):
+    def boom(*args, **kwargs):
+        raise CoefficientOverflow("forced")
+
+    monkeypatch.setattr(decide_module, "collect_constraints", boom)
+    verdict = pipeline_decide(fan())
+    assert (verdict.status, verdict.certificate, verdict.reason) == (UNKNOWN, None, "Overflow")
+    assert sorted(verdict.details) == ["ordering", "overflow", "reductions", "standard_stats"]
+    assert verdict.details["overflow"] == "forced"
 
 
 def test_pipeline_reports_no_feasible_vectors(monkeypatch):

@@ -54,12 +54,27 @@ def test_parse_skips_comments_and_blank_lines():
         ("2 1\n1 0\n0 1\n", "list size"),
         ("0 0\n\n", "line 1"),
         ("2 x\n1 1\n0 1\n", "line 1"),
+        ("2 2\n1 1\n0 1\n1 0\n", "line 4"),
+        ("3 2\n1 1 1\n0 1\n1 3\n", "line 4"),
     ],
 )
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(ProblemFormatError) as err:
         parse_problem(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edges, at",
+    [(((0, 1), (1, 1)), 1), (((0, 2), (1, 3)), 1), (((0, 1), (1, 2), (1, 0)), 2)],
+)
+def test_problem_names_the_edge_at_fault(edges, at):
+    with pytest.raises(ProblemFormatError) as err:
+        Problem(3, (1, 1, 1), edges)
+    assert err.value.edge == at
+    with pytest.raises(ProblemFormatError, match="list size") as err:
+        Problem(3, (1, 0, 1), edges)
+    assert err.value.edge is None
 
 
 def test_format_emits_name_comment():
