@@ -19,7 +19,6 @@ from .graphs import (
     order_vertices,
     parse_problem,
 )
-from .kernels import current_backend
 from .poly import (
     CoefficientOverflow,
     DegreeLayout,
@@ -57,6 +56,12 @@ from .decide import (
 )
 
 __version__ = "0.1.0"
+
+
+def current_backend():
+    """Always "numpy"; kept only because the benchmark records it."""
+    return "numpy"
+
 
 __all__ = [
     "CHOOSABLE",

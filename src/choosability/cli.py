@@ -420,6 +420,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # a ProblemFormatError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a crash exits 3 as well, never with a verdict's code
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ from .poly import (
 )
 
 P_FIELD = (1 << 31) - 1
+# the feasible scan's moduli, as many of them as a row needs
+SCAN_PRIMES = (P_FIELD, (1 << 31) - 19, (1 << 31) - 61)
 
 CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
@@ -107,7 +109,7 @@ class ConstraintBasis:
 
     Rows are kept as exact integer vectors; only the independence test
     runs over the prime field, so a dependent-looking row is dropped but
-    every retained row is exact.  ``offered`` counts the rows tested.
+    every retained row is exact.  ``offered`` counts the rows ``extend`` tested.
     """
 
     def __init__(self, n: int):
@@ -121,28 +123,16 @@ class ConstraintBasis:
         return len(self.rows)
 
     def add(self, base, row) -> bool:
-        """Retain the row if it is independent of the current rows."""
-        self.offered += 1
-        vec = [int(x) % P_FIELD for x in row]
-        for pivot, evec in self._echelon:
-            c = vec[pivot]
-            if c:
-                vec = [(a - c * b) % P_FIELD for a, b in zip(vec, evec)]
-        pivot = next((i for i, x in enumerate(vec) if x), -1)
-        if pivot < 0:
-            return False
-        inv = pow(vec[pivot], P_FIELD - 2, P_FIELD)
-        vec = [a * inv % P_FIELD for a in vec]
-        self._echelon.append((pivot, vec))
-        self.rows.append(ConstraintRow(tuple(base), tuple(int(x) for x in row)))
-        return True
+        """Offer one row; returns whether the rank rose."""
+        rank = self.rank
+        self.extend([base], [row])
+        return self.rank > rank
 
     def extend(self, bases, rows) -> bool:
-        """Offer the rows in order, as ``add`` would one at a time, up to
-        rank n; returns whether it got there.  All rows are reduced mod p
-        at once; each row still nonzero is retained by ``add`` and then
-        reduces the rows after it.  Residues stay below p < 2^31, so every
-        product is exact in int64."""
+        """Offer the int64 rows in order, up to rank n; returns whether it
+        got there.  All rows are reduced mod p at once; each one still
+        nonzero is made monic, joins the echelon and reduces the rest.
+        Residues stay below p < 2^31, so every product is exact in int64."""
         todo = np.asarray(rows, dtype=np.int64) % P_FIELD
         for pivot, evec in self._echelon:
             todo = _eliminate(todo, pivot, evec)
@@ -150,13 +140,16 @@ class ConstraintBasis:
         while self.rank < self.n:
             live = np.flatnonzero(todo[i:].any(axis=1))
             if not len(live):
-                self.offered += len(todo) - i
+                self.offered += len(todo)
                 return False
-            self.offered += int(live[0])
             i += int(live[0])
-            self.add(tuple(int(x) for x in bases[i]), rows[i])
+            pivot = int(np.flatnonzero(todo[i])[0])
+            evec = todo[i] * pow(int(todo[i, pivot]), P_FIELD - 2, P_FIELD) % P_FIELD
+            self._echelon.append((pivot, evec.tolist()))
+            self.rows.append(ConstraintRow(tuple(map(int, bases[i])), tuple(map(int, rows[i]))))
             i += 1
-            todo[i:] = _eliminate(todo[i:], *self._echelon[-1])
+            todo[i:] = _eliminate(todo[i:], pivot, evec)
+        self.offered += i
         return True
 
     def satisfied_by(self, chi) -> bool:
@@ -272,34 +265,32 @@ def enumerate_feasible_vectors(
     """All chi in {0,1}^n satisfying every retained row exactly, as the
     int64 array of their masks (bit v set when chi(v) = 1), ascending.
 
-    Each row's residues mod p are summed over all 2^n masks at once, and
-    a mask is kept when every sum vanishes mod p.  Residues are below
-    p < 2^31, so the sums are exact in int64.  A row whose absolute
-    values sum below p cannot wrap, so a zero residue is already an
-    exact zero; the kept masks are rechecked exactly against the other
-    rows.  Raises FeasibleSearchTooLarge when n exceeds the cap or the
-    2^n arrays cannot be allocated.
+    Each row's subset sums over all 2^n masks are taken modulo the first
+    of ``SCAN_PRIMES`` whose product exceeds the sum of its absolute
+    values; a sum that vanishes modulo each is zero.  Residues are below
+    2^31, so the sums are exact in int64.  Raises FeasibleSearchTooLarge
+    when n exceeds the cap, the 2^n arrays cannot be allocated, or the
+    primes do not cover a row (no int64 row while 2^n masks fit).
     """
     if n > cap:
         raise FeasibleSearchTooLarge("n=%d exceeds the cap %d" % (n, cap))
     try:
         keep = np.ones(1 << n, dtype=bool)
         for cr in basis.rows:
-            sums = subset_sums(np.array([x % P_FIELD for x in cr.row], dtype=np.int64))
-            keep &= np.remainder(sums, P_FIELD, out=sums) == 0
-            del sums  # freed before the next row's sums are built
-        masks = np.flatnonzero(keep).astype(np.int64, copy=False)
+            bound, modulus = sum(map(abs, cr.row)), 1
+            for q in SCAN_PRIMES:
+                if modulus > bound:
+                    break
+                modulus *= q
+                sums = subset_sums(np.array([x % q for x in cr.row], dtype=np.int64))
+                keep &= np.remainder(sums, q, out=sums) == 0
+                del sums  # freed before the next sums are built
+            if modulus <= bound:
+                raise FeasibleSearchTooLarge("a row's absolute values sum to %d" % bound)
+        return np.flatnonzero(keep).astype(np.int64, copy=False)
     except (MemoryError, ValueError) as exc:
         # numpy raises ValueError past its largest array dimension
         raise FeasibleSearchTooLarge("2^%d masks: %s" % (n, exc)) from exc
-    for cr in basis.rows:
-        if sum(map(abs, cr.row)) >= P_FIELD:
-            exact = [
-                sum(r for v, r in enumerate(cr.row) if mask >> v & 1) == 0
-                for mask in masks.tolist()
-            ]
-            masks = masks[np.array(exact, dtype=bool)]
-    return masks
 
 
 def find_deletable_edges(masks, p: Problem):

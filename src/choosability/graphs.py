@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass
 
 
@@ -30,6 +31,13 @@ class ProblemFormatError(ValueError):
         self.edge = edge
 
 
+def _integer(x, edge=None):
+    """x as an int; a bool or any other non-integer is a ProblemFormatError."""
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+        raise ProblemFormatError("expected an integer, got %r" % (x,), edge)
+    return int(x)
+
+
 @dataclass(frozen=True)
 class Problem:
     """A graph with a list size attached to every vertex.
@@ -46,6 +54,8 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n))
+        object.__setattr__(self, "s", tuple(map(_integer, self.s)))
         if self.n < 1:
             raise ProblemFormatError("need at least one vertex")
         if len(self.s) != self.n:
@@ -59,6 +69,8 @@ class Problem:
                 raise ProblemFormatError("list size %d does not fit in a 64-bit field" % sv)
         norm = {}  # the normalized edges, in order
         for i, (u, v) in enumerate(self.edges):
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer(u, i), _integer(v, i)
             if u == v:
                 raise ProblemFormatError("self-loop at vertex %d" % u, i)
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -119,8 +131,8 @@ def parse_problem(text: str, name: str = "") -> Problem:
 
     Line 1: `n m`.  Line 2: n list sizes.  Then m lines `u v` with 0-based
     endpoints.  Lines starting with '#' are comments; blank lines are
-    skipped.  Token and edge errors carry the 1-based number of the line
-    at fault; ``Problem`` checks the edges, and names the one at fault.
+    skipped.  Token, list-size and edge errors carry the 1-based number of
+    the line at fault: ``Problem`` names the edge at fault, or none for a size.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -156,9 +168,8 @@ def parse_problem(text: str, name: str = "") -> Problem:
     try:
         return Problem(n, tuple(s), edges, name)
     except ProblemFormatError as exc:
-        if exc.edge is None:
-            raise
-        raise ProblemFormatError("line %d: %s" % (body[exc.edge][0], exc), exc.edge) from None
+        lineno = rows[1][0] if exc.edge is None else body[exc.edge][0]
+        raise ProblemFormatError("line %d: %s" % (lineno, exc), exc.edge) from None
 
 
 def format_problem(p: Problem) -> str:

@@ -21,6 +21,13 @@ The first part is the largest prefix alone; each later part takes whole
 adjacent prefixes until it holds at least 2, 4, 8, ... terms, capped at the
 branch limit, so a list of thousands of tiny prefixes makes a few dozen
 parts.
+
+Kernels: ``emit_bump`` and ``emit_mark`` select, then raise or mark, one
+vertex's field in a term array pair (``keys`` as above, int64 ``coeffs``);
+``merge2`` merges two sorted pairs.  Selections use np.flatnonzero: a
+gather by index is several times faster than a boolean mask on millions
+of terms.  A sum past int64, or at INT64_MIN (whose negation wraps), sets
+a flag in ``merge2``; the edge products, which know the edge, raise on it.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Problem, VertexOrdering
-from .kernels import emit_bump, emit_mark, merge2
+
+INT64_MIN = np.iinfo(np.int64).min
 
 
 class CoefficientOverflow(ArithmeticError):
@@ -88,6 +96,87 @@ class DegreeLayout:
         for i in range(n):
             acc[self.pos_word[i]] |= self.field_mask << self.pos_shift[i]
             self.prefix_masks[i] = [np.uint64(x) for x in acc]
+
+
+def emit_bump(keys, coeffs, layout, v, negate):
+    """Terms whose degree at vertex v is at most s(v) - 2, with that degree
+    raised by one; coefficients negated when ``negate`` is set."""
+    word, shift = layout.v_word[v], layout.v_shift[v]
+    limit = np.uint64((layout.problem.s[v] - 1) << shift)
+    take = np.flatnonzero((keys[:, word] & np.uint64(layout.field_mask << shift)) < limit)
+    out_k = keys[take]
+    out_c = -coeffs[take] if negate else coeffs[take]
+    out_k[:, word] += np.uint64(1 << shift)
+    return out_k, out_c
+
+
+def emit_mark(keys, coeffs, layout, v, negate):
+    """Unmarked terms whose degree at vertex v is s(v) - 1, marked at v;
+    coefficients negated when ``negate`` is set."""
+    if not layout.marker_bits:
+        raise ValueError("layout has no marker field")
+    word, shift = layout.v_word[v], layout.v_shift[v]
+    mword, mshift = layout.marker_word, layout.marker_shift
+    tight = np.uint64((layout.problem.s[v] - 1) << shift)
+    field = keys[:, word] & np.uint64(layout.field_mask << shift)
+    unmarked = (keys[:, mword] & np.uint64(layout.marker_mask << mshift)) == 0
+    take = np.flatnonzero((field == tight) & unmarked)
+    out_k = keys[take]
+    out_c = -coeffs[take] if negate else coeffs[take]
+    out_k[:, mword] |= np.uint64(layout.v_code[v] << mshift)
+    return out_k, out_c
+
+
+def merge2(keys_a, coeffs_a, keys_b, coeffs_b):
+    """Merge two strictly increasing term arrays, combining equal keys.
+
+    Returns (keys, coeffs, overflow_flag); zero coefficients are dropped.
+    """
+    if len(coeffs_a) == 0:
+        return keys_b.copy(), coeffs_b.copy(), False
+    if len(coeffs_b) == 0:
+        return keys_a.copy(), coeffs_a.copy(), False
+    width = keys_a.shape[1]
+    if width == 1:
+        # timsort finds the two sorted runs and merges them in linear time
+        keys = np.concatenate((keys_a[:, 0], keys_b[:, 0]))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        same = keys[1:] == keys[:-1]
+    else:
+        keys = np.vstack((keys_a, keys_b))
+        # big-endian words viewed as one opaque field compare bytewise, as
+        # the word sequences do, so timsort merges the two runs
+        fields = keys.astype(">u8").view(np.dtype((np.void, 8 * width)))[:, 0]
+        order = np.argsort(fields, kind="stable")
+        del fields  # lowers the peak memory of the largest merges
+        keys = keys[order]
+        same = keys[1:, 0] == keys[:-1, 0]
+        for w in range(1, width):
+            same &= keys[1:, w] == keys[:-1, w]
+    coeffs = np.concatenate((coeffs_a, coeffs_b))[order]
+    del order  # lowers the peak memory of the largest merges
+    overflow = False
+    # inputs have unique keys, so equal-key runs have length at most 2
+    if same.any():
+        head = np.flatnonzero(same)
+        tail = head + 1
+        a = coeffs[head]
+        b = coeffs[tail]
+        total = a + b
+        # a sum wrapped exactly when its sign differs from both addends'
+        if np.any(((a ^ total) & (b ^ total)) < 0) or np.any(total == INT64_MIN):
+            overflow = True
+        coeffs[head] = total
+        # the second of each pair is now counted in the first: drop it
+        # with the zeros
+        coeffs[tail] = 0
+    nonzero = coeffs != 0
+    if not nonzero.all():
+        nonzero = np.flatnonzero(nonzero)
+        keys = keys[nonzero]
+        coeffs = coeffs[nonzero]
+    return keys.reshape(-1, width), coeffs, overflow
 
 
 @dataclass

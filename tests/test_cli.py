@@ -27,8 +27,7 @@ from choosability import (
 from choosability.decide import MODES
 from choosability.graphs import FIXED_HEURISTICS, format_problem, generate_family
 from choosability.graphs import order_vertices, parse_problem, product_estimate
-from choosability.kernels import merge2
-from choosability.poly import CoefficientOverflow
+from choosability.poly import CoefficientOverflow, merge2
 
 from _examples import complete, cycle, diamond, fan, k33, second_pattern_bad
 
@@ -127,6 +126,27 @@ def test_decide_standard_overflow_is_unknown(tmp_path, capsys, monkeypatch):
     assert report["reason"] == "Overflow"
     assert list(report["details"]) == ["ordering", "overflow", "reductions"]
     assert report["details"]["overflow"].startswith("edge {")
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_a_crash_in_the_product_exits_3_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def crashing_merge(*args):
+        raise error("forced")
+
+    monkeypatch.setattr(poly, "merge2", crashing_merge)
+    path = write_problem(tmp_path, cycle(4))
+    code, out, err = run_cli(capsys, ["decide", path])
+    # exit 1 would read as NOT_CHOOSABLE
+    assert (code, out, err) == (3, "", "error: %s: forced\n" % error.__name__)
+
+
+def test_an_interrupt_in_the_product_is_not_caught(tmp_path, monkeypatch):
+    def interrupted_merge(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(poly, "merge2", interrupted_merge)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["decide", write_problem(tmp_path, cycle(4))])
 
 
 def test_decide_text_report_details(tmp_path, capsys):

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choosability import (
@@ -111,21 +111,11 @@ def assert_same_basis(a, b):
         (2, [], np.zeros((0, 2), dtype=np.int64), []),
     ],
 )
-def test_basis_extend_matches_adding_rows_in_turn(monkeypatch, n, start, rows, kept):
+def test_basis_extend_matches_adding_rows_in_turn(n, start, rows, kept):
     reference, full = added_one_at_a_time(n, rows, start)
     basis, _ = added_one_at_a_time(n, [], start)
     bases = [(i,) * n for i in range(len(rows))]
-    added = []
-    add = ConstraintBasis.add
-
-    def recorded_add(self, base, row):
-        added.append(add(self, base, row))
-        return added[-1]
-
-    monkeypatch.setattr(ConstraintBasis, "add", recorded_add)
     assert basis.extend(bases, rows) is full
-    # the batched reduction hands add only the rows it keeps
-    assert added == [True] * len(kept)
     assert_same_basis(basis, reference)
     assert [cr.row for cr in basis.rows[len(start):]] == [rows[i] for i in kept]
     assert [cr.base for cr in basis.rows[len(start):]] == [bases[i] for i in kept]
@@ -330,10 +320,8 @@ ENTRIES = st.one_of(
 )
 
 
-@st.composite
-def scan_bases(draw):
-    n = draw(st.integers(1, 10))
-    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), max_size=3))
+def holding(n, rows):
+    """(n, a basis holding exactly these rows)"""
     basis = ConstraintBasis(n)
     # set the rows directly: the scan must be exact whatever rows it holds,
     # including rows the mod-p independence test would drop
@@ -341,8 +329,22 @@ def scan_bases(draw):
     return n, basis
 
 
+@st.composite
+def scan_bases(draw):
+    n = draw(st.integers(1, 10))
+    return holding(n, draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), max_size=3)))
+
+
+Q = decide_module.SCAN_PRIMES[1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(scan_bases())
+# {0} sums to 0 mod p, and to 0 mod p and q: the second and third primes
+@example(holding(2, [(P, 1)]))
+@example(holding(2, [(P * Q, 1)]))
+# the full mask sums to exactly 0
+@example(holding(3, [(2**62, 2**62, -(2**63))]))
 def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
     n, basis = case
     every = (tuple((mask >> v) & 1 for v in range(n)) for mask in range(1 << n))
@@ -350,6 +352,15 @@ def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
     masks = enumerate_feasible_vectors(basis, n)
     assert masks.dtype == np.int64
     assert as_vectors(masks, n) == expected
+
+
+def test_feasible_enumeration_refuses_a_row_past_its_primes():
+    bound = P * Q * decide_module.SCAN_PRIMES[2]
+    with pytest.raises(FeasibleSearchTooLarge, match="absolute values"):
+        enumerate_feasible_vectors(holding(2, [(bound, 0)])[1], 2)
+    # one less is covered: chi(0) = 1 sums to bound - 1
+    basis = holding(2, [(bound - 1, 0)])[1]
+    assert as_vectors(enumerate_feasible_vectors(basis, 2), 2) == [(0, 0), (0, 1)]
 
 
 # ------------------------------------------------------------- patterns

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,9 @@ def test_parse_skips_comments_and_blank_lines():
         ("2 x\n1 1\n0 1\n", "line 1"),
         ("2 2\n1 1\n0 1\n1 0\n", "line 4"),
         ("3 2\n1 1 1\n0 1\n1 3\n", "line 4"),
+        ("2 1\n1 0\n0 1\n", "line 2: list size"),
+        ("2 1\n%d 1\n0 1\n" % 2**64, "line 2: list size"),
+        ("2 1\n# sizes\n1 0\n0 1\n", "line 3: list size"),
     ],
 )
 def test_parse_errors_carry_location(text, fragment):
@@ -75,6 +79,27 @@ def test_problem_names_the_edge_at_fault(edges, at):
     with pytest.raises(ProblemFormatError, match="list size") as err:
         Problem(3, (1, 0, 1), edges)
     assert err.value.edge is None
+
+
+@pytest.mark.parametrize(
+    "n, s, edges, at",
+    [
+        (2, (1.5, 1), ((0, 1),), None),
+        (2.0, (1, 1), ((0, 1),), None),
+        (2, (1, 1), ((0, 1.0),), 0),
+        (2, (True, 1), ((0, 1),), None),
+    ],
+)
+def test_problem_refuses_values_that_are_not_integers(n, s, edges, at):
+    with pytest.raises(ProblemFormatError, match="integer") as err:
+        Problem(n, s, edges)
+    assert err.value.edge == at
+
+
+def test_problem_stores_numpy_integers_as_int():
+    p = Problem(np.int64(2), (np.int32(2), np.uint64(1)), ((np.uint8(1), np.int64(0)),))
+    assert p == Problem(2, (2, 1), ((0, 1),))
+    assert all(type(x) is int for x in (p.n, *p.s, *p.edges[0]))
 
 
 def test_format_emits_name_comment():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choosability import Problem, VertexOrdering
-from choosability.kernels import INT64_MIN, emit_bump, emit_mark, merge2
+from choosability.poly import INT64_MIN, emit_bump, emit_mark, merge2
 from choosability.poly import DegreeLayout, TermList, iter_terms
 
 from _references import pack
