@@ -206,6 +206,8 @@ def _print_report(report: dict, as_json: bool) -> None:
             print("%s: %s" % (key.replace("_", " "), details[key]))
     if "reductions" in details:
         print("reductions: " + " ".join("%s=%s" % kv for kv in details["reductions"].items()))
+    if "degree_bound" in details:
+        print("degree bound: m=%(m)d room=%(room)d" % details["degree_bound"])
     if "ordering" in details:
         print("ordering: %(heuristic)s estimate=%(estimate)d" % details["ordering"])
     for key in ("standard_stats", "extended_stats"):

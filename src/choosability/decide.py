@@ -49,8 +49,8 @@ DEFAULT_FEASIBLE_CAP = 25
 class Settings:
     """The settings of one ``pipeline_decide`` run.
 
-    The standard stage runs first; mode "standard" stops after it, and
-    "pipeline" goes on to the later stages when it finds no witness.
+    The degree count and the standard stage run first; mode "standard"
+    stops after them, and "pipeline" goes on when they find no witness.
     The matching prune (``run_truncated_product``) acts on the standard
     stage.  The heuristic must be one of ``HEURISTICS``; it defaults to
     AUTO, which picks an ordering per problem.  The branch limit is None
@@ -449,20 +449,31 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
     assignment coloring, none at all included, gives
     ``AllPatternsColorable``.  A stage that cannot finish gives UNKNOWN,
     its reason from the table ``_GIVE_UPS`` and its findings so far kept.
-    No list may be longer than its vertex's degree, as after R1."""
+    No list may be longer than its vertex's degree, as after R1.  First
+    the degree count: a witness needs m <= room = sum(s(v) - 1), and a
+    row, one unit more at one vertex, m <= room + 1; else no product runs."""
+    room = sum(p.s) - p.n
+    details = {"degree_bound": {"m": p.m, "room": room}}
+    standard = settings.mode == "standard"
+    if p.m > room + (not standard):
+        if not standard:
+            details["constraint_rank"] = 0
+        return Verdict(UNKNOWN, reason="NoWitness" if standard else "NoConstraints",
+                       details=details)
     ordering = order_vertices(p, settings.heuristic)
     estimate = product_estimate(p, ordering.order)
-    details = {"ordering": {"heuristic": ordering.heuristic, "estimate": estimate}}
+    details["ordering"] = {"heuristic": ordering.heuristic, "estimate": estimate}
     try:
-        witness, stats = standard_alon_tarsi(
-            p, ordering, settings.branch_limit, settings.prune_matching
-        )
-        details["standard_stats"] = asdict(stats)
-        if witness is not None:
-            f, coeff = witness
-            cert = {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff}
-            return Verdict(CHOOSABLE, cert, details=details)
-        if settings.mode == "standard":
+        if p.m <= room:
+            witness, stats = standard_alon_tarsi(
+                p, ordering, settings.branch_limit, settings.prune_matching
+            )
+            details["standard_stats"] = asdict(stats)
+            if witness is not None:
+                f, coeff = witness
+                cert = {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff}
+                return Verdict(CHOOSABLE, cert, details=details)
+        if standard:
             return Verdict(UNKNOWN, reason="NoWitness", details=details)
         basis, stats = collect_constraints(p, ordering, settings.branch_limit)
         details["extended_stats"] = asdict(stats)

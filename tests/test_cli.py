@@ -124,7 +124,7 @@ def test_decide_standard_overflow_is_unknown(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert (report["verdict"], report["certificate"]) == ("UNKNOWN", None)
     assert report["reason"] == "Overflow"
-    assert list(report["details"]) == ["ordering", "overflow", "reductions"]
+    assert list(report["details"]) == ["degree_bound", "ordering", "overflow", "reductions"]
     assert report["details"]["overflow"].startswith("edge {")
 
 
@@ -175,6 +175,35 @@ def test_decide_reports_the_ordering_it_used(tmp_path, capsys, family, params, u
     _, out, _ = run_cli(capsys, ["decide", path])
     estimate = report["details"]["ordering"]["estimate"]
     assert "ordering: %s estimate=%d" % (used, estimate) in out.splitlines()
+
+
+def test_decide_reports_the_degree_count(tmp_path, capsys):
+    # the diamond meets the row bound, so its stages run after the count
+    path = write_problem(tmp_path, diamond())
+    _, out, _ = run_cli(capsys, ["decide", path])
+    lines = out.splitlines()
+    at = lines.index("degree bound: m=5 room=4")
+    assert lines[at + 1].startswith("ordering: ")
+    _, out, _ = run_cli(capsys, ["decide", path, "--json"])
+    assert json.loads(out)["details"]["degree_bound"] == {"m": 5, "room": 4}
+    # K_{3,3} fails it, and no ordering is taken
+    path = write_problem(tmp_path, k33())
+    _, out, _ = run_cli(capsys, ["decide", path])
+    assert "degree bound: m=9 room=6" in out.splitlines()
+    assert "ordering:" not in out
+
+
+def test_decide_runs_no_product_on_a_probe_component_past_the_degree_count(capsys):
+    # one 52-edge component with room 49 is left after R1; both products
+    # ran to the end on it, making 95 M monomials
+    path = str(Path(__file__).with_name("probe-147.prob"))
+    code, out, _ = run_cli(capsys, ["decide", path, "--json"])
+    report = json.loads(out)
+    assert code == 2
+    assert report["reason"] == "NoConstraints"
+    assert report["details"]["degree_bound"] == {"m": 52, "room": 49}
+    assert "standard_stats" not in report["details"]
+    assert "extended_stats" not in report["details"]
 
 
 def test_decide_reads_stdin(monkeypatch, capsys):

@@ -31,7 +31,7 @@ from choosability import (
     standard_alon_tarsi,
 )
 from choosability import decide as decide_module
-from choosability.graphs import HEURISTICS, generate_family, order_vertices
+from choosability.graphs import DEFAULT_HEURISTIC, HEURISTICS, generate_family, order_vertices
 from choosability.poly import RunStats, iter_terms, run_truncated_product
 
 from _examples import (
@@ -594,10 +594,88 @@ def test_pipeline_standard_mode_stops_after_the_standard_stage():
         "f": [1, 1, 1, 1],
         "coefficient": -2,
     }
-    assert set(hit.details) == {"reductions", "ordering", "standard_stats"}
+    assert set(hit.details) == {"reductions", "degree_bound", "ordering", "standard_stats"}
+    # m = 9 > room = 6: the degree count settles it before any ordering
     miss = pipeline_decide(k33(), mode="standard")
     assert (miss.status, miss.certificate, miss.reason) == (UNKNOWN, None, "NoWitness")
-    assert set(miss.details) == {"reductions", "ordering", "standard_stats"}
+    assert set(miss.details) == {"reductions", "degree_bound"}
+
+
+def stage_inputs(seed, count=80):
+    """Seeded random problems with every list at most its degree, as the
+    stages take a component after R1; about a third fail the degree
+    count, and a third meet the row bound exactly."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = random_problem(rng, n_range=(4, 7), m_cap=12, s_range=(2, 3))
+        degrees = p.degrees()
+        if 0 not in degrees:
+            out.append(Problem(p.n, tuple(map(min, p.s, degrees)), p.edges))
+    return out
+
+
+@pytest.mark.parametrize("mode, slack", [("standard", 0), ("extended", 1)])
+def test_no_term_survives_past_the_degree_count(mode, slack):
+    # a witness has degree m with f(v) <= s(v) - 1; a marked term has one
+    # unit more at one vertex
+    past = 0
+    for p in stage_inputs(31):
+        delivered = []
+        run_truncated_product(p, order_vertices(p, "MD+PROC"), mode=mode,
+                              sink=lambda layout, terms: delivered.append(len(terms)))
+        if p.m > sum(p.s) - p.n + slack:
+            past += 1
+            assert delivered == [], p
+    assert 10 <= past < 80
+
+
+@pytest.mark.parametrize("mode", decide_module.MODES)
+def test_the_degree_count_decides_as_the_products_do(mode):
+    skipped = 0
+    for p in stage_inputs(31):
+        verdict = decide_module._run_stages(p, decide_module.Settings(mode=mode))
+        skipped += "ordering" not in verdict.details
+        ordering = order_vertices(p, DEFAULT_HEURISTIC)
+        witness, _ = standard_alon_tarsi(p, ordering)
+        if witness is not None:
+            f, coeff = witness
+            cert = {"kind": "WitnessMonomial", "f": list(f), "coefficient": coeff}
+            expected = (CHOOSABLE, cert, None)
+        elif mode == "standard":
+            expected = (UNKNOWN, None, "NoWitness")
+        else:
+            basis, _ = collect_constraints(p, ordering)
+            assert verdict.details["constraint_rank"] == basis.rank, p
+            if basis.rank:
+                # the later stages run on the same rows either way
+                assert verdict.reason != "NoConstraints", p
+                continue
+            expected = (UNKNOWN, None, "NoConstraints")
+        assert (verdict.status, verdict.certificate, verdict.reason) == expected, p
+    assert skipped >= 10
+
+
+def test_the_degree_count_skips_both_products_on_k33():
+    verdict = pipeline_decide(k33())
+    assert (verdict.status, verdict.certificate, verdict.reason) == (
+        UNKNOWN, None, "NoConstraints"
+    )
+    assert verdict.details["degree_bound"] == {"m": 9, "room": 6}
+    assert verdict.details["constraint_rank"] == 0
+    assert set(verdict.details) == {"reductions", "degree_bound", "constraint_rank"}
+
+
+def test_the_degree_count_skips_only_the_standard_product_on_the_diamond():
+    # m = 5 = room + 1: no witness can survive, but a row can
+    verdict = pipeline_decide(diamond())
+    assert verdict.details["degree_bound"] == {"m": 5, "room": 4}
+    assert "standard_stats" not in verdict.details
+    assert "extended_stats" in verdict.details
+    assert (verdict.status, verdict.certificate) == (NOT_CHOOSABLE, {
+        "kind": "BadAssignment",
+        "pattern": [{"vector": [1, 1, 1, 1], "multiplicity": 2}],
+    })
 
 
 def test_pipeline_rejects_unknown_mode():
@@ -733,6 +811,7 @@ def test_pipeline_overflow_is_reported(monkeypatch):
     assert verdict.reason == "Overflow"
     assert verdict.details == {
         "reductions": {"R1": 0, "R2": 0, "R4": 0, "components": 1, "decided_by": "stages"},
+        "degree_bound": {"m": 4, "room": 4},
         "ordering": {"heuristic": "MD+PROC", "estimate": 11},
         "overflow": "forced",
     }
@@ -745,7 +824,9 @@ def test_pipeline_overflow_in_the_extended_stage_is_reported(monkeypatch):
     monkeypatch.setattr(decide_module, "collect_constraints", boom)
     verdict = pipeline_decide(fan())
     assert (verdict.status, verdict.certificate, verdict.reason) == (UNKNOWN, None, "Overflow")
-    assert sorted(verdict.details) == ["ordering", "overflow", "reductions", "standard_stats"]
+    assert sorted(verdict.details) == [
+        "degree_bound", "ordering", "overflow", "reductions", "standard_stats"
+    ]
     assert verdict.details["overflow"] == "forced"
 
 
