@@ -28,6 +28,7 @@ from .poly import (
     DEFAULT_BRANCH_LIMIT,
     CoefficientOverflow,
     TermList,
+    check_limit,
     run_truncated_product,
     unpack_terms,
 )
@@ -42,6 +43,8 @@ UNKNOWN = "UNKNOWN"
 
 MODES = ("standard", "pipeline")
 DEFAULT_PATTERN_CAP = 100
+# The most vertices the feasible scan takes: its int64 subset sums over
+# 2^26 masks would need about 600 MB per row pass.
 DEFAULT_FEASIBLE_CAP = 25
 
 
@@ -54,7 +57,7 @@ class Settings:
     The matching prune (``run_truncated_product``) acts on the standard
     stage.  The heuristic must be one of ``HEURISTICS``; it defaults to
     AUTO, which picks an ordering per problem.  The branch limit is None
-    or an int >= 1; both caps are ints >= 1.  Every setting is checked
+    or an int >= 1, the pattern cap an int >= 1.  Every setting is checked
     here, as the reductions may settle a problem without using them.
     """
 
@@ -62,7 +65,6 @@ class Settings:
     heuristic: str = DEFAULT_HEURISTIC
     branch_limit: int | None = DEFAULT_BRANCH_LIMIT
     pattern_cap: int = DEFAULT_PATTERN_CAP
-    feasible_cap: int = DEFAULT_FEASIBLE_CAP
     prune_matching: bool = False
 
     def __post_init__(self):
@@ -70,9 +72,8 @@ class Settings:
             raise ValueError("mode must be one of %s" % ", ".join(MODES))
         if self.heuristic not in HEURISTICS:
             raise ValueError("unknown heuristic %r" % (self.heuristic,))
-        limit = 1 if self.branch_limit is None else self.branch_limit
-        if any(type(x) is not int or x < 1 for x in (limit, self.pattern_cap, self.feasible_cap)):
-            raise ValueError("the branch limit must be None or an int >= 1, and so must both caps")
+        check_limit(self.branch_limit, "branch limit", none_ok=True)
+        check_limit(self.pattern_cap, "pattern cap")
 
 
 class FeasibleSearchTooLarge(Exception):
@@ -310,6 +311,7 @@ def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP, stop
     ``stop``, when given, and the first for which it is true ends the
     search and the list.  Raises PatternCapExceeded once a pattern past
     the first cap is found, before ``stop`` sees it."""
+    check_limit(cap, "pattern cap")
     found = []
 
     def visit(pattern) -> bool:
@@ -482,7 +484,7 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
         if basis.rank == 0:
             return Verdict(UNKNOWN, reason="NoConstraints", details=details)
 
-        masks = enumerate_feasible_vectors(basis, p.n, settings.feasible_cap)
+        masks = enumerate_feasible_vectors(basis, p.n)
         nonzero = masks[masks != 0]
         details["feasible_vectors"] = len(masks)
         details["deletable_edges"] = [list(e) for e in find_deletable_edges(nonzero, p)]

@@ -12,13 +12,13 @@ HEURISTICS = FIXED_HEURISTICS + ("AUTO",)
 
 DEFAULT_HEURISTIC = "AUTO"
 
-# The estimate past which AUTO leaves MD+PROC.  MD+PROC reads below 1e4 on
-# the 1,000 problems of the benchmark's `random` workload (seed 1), at most
-# 1.05e4 on `cliques`, 437 on the test corpora and 1.4e4 on grid-diag(4).
-# grid-diag(5) reads 4.4e5, and MDR's 2.9e5 would run 1.41x slower (0.169
-# against 0.120 s), so it keeps MD+PROC.  cycle-triangles(6) to (10) read
-# 1.4e6 to 9.2e9, and VSEP's 8e3 to 1.7e4 (34.3 M monomials to 29 k on
-# (8)).  Any limit in [1.1e4, 2.9e5) makes the same choices on these.
+# The estimate past which AUTO leaves MD+PROC for VSEP.  MD+PROC reads below
+# 1e4 on the 1,000 problems of the benchmark's `random` workload (seed 1), at
+# most 1.05e4 on `cliques`, 437 on the test corpora and 1.45e4 on grid-diag(4).
+# cycle-triangles(5) to (14) read 1.55e5 and up, and under VSEP 5.8e3 to
+# 2.55e4 (34.3 M monomials to 29 k on (8)).  grid-diag(5) reads 4.36e5, and
+# 3.96e5 under VSEP, so it keeps MD+PROC.  Any limit in [2.55e4, 1.55e5) makes
+# the same choices on these; [2.11e4, 3.96e5) does on cycle-triangles(6)-(12).
 AUTO_ESTIMATE_LIMIT = 10**5
 
 
@@ -196,19 +196,17 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
     MDR is MD reversed.  All remaining ties pick the smallest original index.
 
     AUTO keeps MD+PROC unless its ``product_estimate`` exceeds
-    ``AUTO_ESTIMATE_LIMIT`` and the smallest estimate of the other rules
-    (the first in ``HEURISTICS`` on a tie) does not; the ordering names
-    the rule used.
+    ``AUTO_ESTIMATE_LIMIT`` and VSEP's does not; then it takes VSEP.  The
+    ordering names the rule used.
     """
     if heuristic not in HEURISTICS:
         raise ValueError("unknown heuristic %r" % heuristic)
     if heuristic == "AUTO":
         chosen = order_vertices(p, "MD+PROC")
         if product_estimate(p, chosen.order) > AUTO_ESTIMATE_LIMIT:
-            others = [order_vertices(p, h) for h in FIXED_HEURISTICS if h != "MD+PROC"]
-            estimates = [product_estimate(p, o.order) for o in others]
-            if min(estimates) <= AUTO_ESTIMATE_LIMIT:
-                chosen = others[estimates.index(min(estimates))]
+            vsep = order_vertices(p, "VSEP")
+            if product_estimate(p, vsep.order) <= AUTO_ESTIMATE_LIMIT:
+                return vsep
         return chosen
     if heuristic == "INPUT":
         return VertexOrdering(tuple(range(p.n)), heuristic)

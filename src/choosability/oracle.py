@@ -37,7 +37,7 @@ def direct_coefficient(p: Problem, f) -> int:
     """
     f = list(f)
     if len(f) != p.n:
-        raise ValueError("degree vector has wrong length")
+        raise ValueError("expected %d degree values, got %d" % (p.n, len(f)))
     if p.m > sys.getrecursionlimit() // 2:
         raise OracleLimitError("%d edges: past half the recursion limit" % p.m)
     if any(x < 0 for x in f) or sum(f) != p.m:

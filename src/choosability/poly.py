@@ -276,6 +276,13 @@ OUTCOME_ABORTED = "aborted"
 DEFAULT_BRANCH_LIMIT = 100000
 
 
+def check_limit(value, name: str, none_ok: bool = False):
+    """ValueError unless ``value`` is an int >= 1, or None when ``none_ok``.
+    A bool or float is refused: a cap of 1.5 never equals the count it caps."""
+    if not ((value is None and none_ok) or (type(value) is int and value >= 1)):
+        raise ValueError("the %s must be %san int >= 1" % (name, "None or " * none_ok))
+
+
 def run_truncated_product(
     problem: Problem,
     ordering: VertexOrdering,
@@ -310,8 +317,7 @@ def run_truncated_product(
     """
     if mode not in ("standard", "extended"):
         raise ValueError("mode must be standard or extended")
-    if branch_limit is not None and branch_limit < 1:
-        raise ValueError("branch limit must be positive")
+    check_limit(branch_limit, "branch limit", none_ok=True)
     layout = DegreeLayout(problem, ordering, marked=mode == "extended")
     adj = problem.adjacency()
     position = problem.n * [0]

@@ -65,6 +65,14 @@ def second_pattern_bad():
     return Problem(n=6, s=(2, 2, 2, 2, 3, 2), edges=edges, name="q")
 
 
+def theta():
+    # a 49-cycle with an ear of length 2 on one edge, lists of 2: no
+    # reduction applies, the product leaves one constraint row, and its 50
+    # vertices are past the feasible scan's cap
+    edges = cycle(49).edges + ((0, 49), (1, 49))
+    return Problem(n=50, s=(2,) * 50, edges=edges, name="theta")
+
+
 def as_masks(vectors):
     """The masks of 0/1 vectors, bit v set when vec[v] = 1."""
     return [sum(x << v for v, x in enumerate(vec)) for vec in vectors]

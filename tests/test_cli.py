@@ -29,7 +29,7 @@ from choosability.graphs import FIXED_HEURISTICS, format_problem, generate_famil
 from choosability.graphs import order_vertices, parse_problem, product_estimate
 from choosability.poly import CoefficientOverflow, merge2
 
-from _examples import complete, cycle, diamond, fan, k33, second_pattern_bad
+from _examples import complete, cycle, diamond, fan, k33, second_pattern_bad, theta
 
 
 def write_problem(tmp_path, p):
@@ -257,28 +257,31 @@ def test_decide_pattern_cap_flag(tmp_path, capsys):
 
 
 def test_decide_feasible_cap_flag(tmp_path, capsys):
+    # the scan's cap is a constant, not a setting
     path = write_problem(tmp_path, fan())
-    code, out, _ = run_cli(capsys, ["decide", path, "--feasible-cap", "4"])
-    assert code == 2
-    assert "reason: FeasibleSearchTooLarge" in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decide", path, "--feasible-cap", "4"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --feasible-cap 4" in captured.err
 
 
 def test_decide_feasible_scan_too_large_to_allocate_is_unknown(tmp_path, capsys):
-    # 2^50 bytes exceed the x86-64 user address space, so the scan's first
-    # array fails to allocate at once and touches no memory.  A 49-cycle
-    # with an ear of length 2 on one edge, lists of 2: no reduction
-    # applies, and the product leaves one constraint row.
-    edges = cycle(49).edges + ((0, 49), (1, 49))
-    path = write_problem(tmp_path, Problem(n=50, s=(2,) * 50, edges=edges, name="theta"))
-    code, out, err = run_cli(capsys, ["decide", path, "--feasible-cap", "60", "--json"])
+    # 2^50 masks could not be allocated; past the cap of 25 vertices the
+    # scan does not try, and the allocation failure itself is tested on
+    # enumerate_feasible_vectors
+    path = write_problem(tmp_path, theta())
+    code, out, err = run_cli(capsys, ["decide", path, "--json"])
     assert (code, err) == (2, "")
     report = json.loads(out)
     assert report["verdict"] == "UNKNOWN"
     assert report["reason"] == "FeasibleSearchTooLarge"
     assert report["details"]["constraint_rank"] == 1
+    assert "feasible_cap" not in report["config"]
 
 
-@pytest.mark.parametrize("flag", ["--pattern-cap", "--feasible-cap"])
+@pytest.mark.parametrize("flag", ["--pattern-cap"])
 def test_decide_cap_below_one_exits_3(tmp_path, capsys, flag):
     path = write_problem(tmp_path, cycle(5))
     code, out, err = run_cli(capsys, ["decide", path, flag, "0"])
@@ -488,7 +491,7 @@ def test_oracle_coefficient_wrong_arity_exits_3(tmp_path, capsys):
     path = write_problem(tmp_path, cycle(4))
     code, _, err = run_cli(capsys, ["oracle", "coefficient", path, "1", "1"])
     assert code == 3
-    assert "error:" in err
+    assert err == "error: expected 4 degree values, got 2\n"
 
 
 def test_oracle_coefficient_refuses_a_long_path(tmp_path, capsys):
@@ -628,9 +631,12 @@ def test_bench_without_heuristics_exits_3(tmp_path, capsys, names):
 
 def test_bench_unknown_heuristic_exits_3(tmp_path, capsys):
     path = write_problem(tmp_path, cycle(5))
-    code, _, err = run_cli(capsys, ["bench", path, "--heuristics", "NOPE"])
-    assert code == 3
-    assert "error:" in err
+    # the second name is checked before the first one's product runs
+    with mock.patch.object(cli, "run_truncated_product") as product:
+        code, out, err = run_cli(capsys, ["bench", path, "--heuristics", "MD,NOPE"])
+    assert (code, out) == (3, "")
+    assert err == "error: unknown heuristic 'NOPE'\n"
+    product.assert_not_called()
 
 
 # gen

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from choosability import (
     enumerate_assignment_patterns,
     enumerate_feasible_vectors,
     find_deletable_edges,
+    parse_problem,
     pipeline_decide,
     standard_alon_tarsi,
 )
@@ -46,6 +48,7 @@ from _examples import (
     k33,
     random_problem,
     second_pattern_bad,
+    theta,
     wheel,
     wheel_extension,
 )
@@ -397,7 +400,12 @@ def test_pattern_cap_is_enforced():
     with pytest.raises(PatternCapExceeded):
         enumerate_assignment_patterns(vectors, (2, 2, 2), cap=1)
     many = enumerate_assignment_patterns(vectors, (2, 2, 2), cap=100)
-    assert len(many) > 1
+    assert len(many) == 16
+    # checked as Settings checks it: a cap of 1.5 never equals the count,
+    # so it would cap nothing, and True would cap at 1
+    for cap in (0, 1.5, True):
+        with pytest.raises(ValueError, match="pattern cap"):
+            enumerate_assignment_patterns(vectors, (2, 2, 2), cap=cap)
 
 
 class _Enough(Exception):
@@ -771,7 +779,7 @@ def test_corpora_are_decided_within_the_pattern_cap():
     assert checked >= 90
 
 
-@pytest.mark.parametrize("cap", ["pattern_cap", "feasible_cap"])
+@pytest.mark.parametrize("cap", ["pattern_cap"])
 def test_pipeline_rejects_a_cap_below_one(cap):
     with pytest.raises(ValueError):
         pipeline_decide(cycle(5), **{cap: 0})
@@ -780,7 +788,7 @@ def test_pipeline_rejects_a_cap_below_one(cap):
 @pytest.mark.parametrize(
     "bad",
     [{"heuristic": "BOGUS"}, {"branch_limit": 0}, {"branch_limit": -5},
-     {"pattern_cap": 1.5}, {"pattern_cap": True}, {"feasible_cap": 25.0},
+     {"pattern_cap": 1.5}, {"pattern_cap": True}, {"mode": "extended"},
      {"branch_limit": True}, {"branch_limit": 2.5}],
 )
 def test_pipeline_rejects_bad_settings_the_reductions_would_not_use(bad):
@@ -796,9 +804,25 @@ def test_pipeline_rejects_bad_settings_the_reductions_would_not_use(bad):
 
 
 def test_pipeline_feasible_cap_gives_unknown():
-    verdict = pipeline_decide(fan(), feasible_cap=4)
+    verdict = pipeline_decide(theta())
     assert verdict.status == UNKNOWN
     assert verdict.reason == "FeasibleSearchTooLarge"
+    assert verdict.details["constraint_rank"] == 1
+    assert "feasible_vectors" not in verdict.details
+
+
+def test_tight_12_settles_only_past_the_default_pattern_cap():
+    # the pattern cap stays a setting: this 24-edge graph is settled by
+    # raising it, with 1,528 patterns, all colorable
+    p = parse_problem((Path(__file__).parent / "tight-12.prob").read_text())
+    verdict = pipeline_decide(p)
+    assert (verdict.status, verdict.reason) == (UNKNOWN, "TooManyPatterns")
+    assert verdict.details["feasible_vectors"] == 20
+    assert pipeline_decide(p, pattern_cap=1527).reason == "TooManyPatterns"
+    verdict = pipeline_decide(p, pattern_cap=1528)
+    assert verdict.status == CHOOSABLE
+    assert verdict.certificate["kind"] == "AllPatternsColorable"
+    assert verdict.certificate["count"] == verdict.details["pattern_count"] == 1528
 
 
 def test_pipeline_overflow_is_reported(monkeypatch):

@@ -205,7 +205,7 @@ def test_auto_keeps_the_md_proc_ordering_on_both_corpora():
         ("cycle-triangles", (8,), "VSEP"),
         ("cycle-triangles", (12,), "VSEP"),
         ("grid-diag", (4,), "MD+PROC"),
-        # MDR's estimate is the smallest, but above the limit
+        # VSEP's estimate is the smaller, but above the limit
         ("grid-diag", (5,), "MD+PROC"),
     ],
 )
@@ -216,15 +216,25 @@ def test_auto_names_the_heuristic_it_used(family, params, used):
     assert ordering.heuristic == used
 
 
-@pytest.mark.parametrize("limit, used", [(2000, "OVER"), (1000, "MD+PROC")])
-def test_auto_breaks_ties_in_heuristic_order_within_the_limit(monkeypatch, limit, used):
-    # grid-diag(3): MD+PROC 3,595; OVER and MDR tie at 1,543, the smallest
+def test_auto_weighs_md_proc_against_vsep_only(monkeypatch):
+    estimated = []
+
+    def counted(p, order):
+        estimated.append(order)
+        return product_estimate(p, order)
+
+    monkeypatch.setattr(graphs, "product_estimate", counted)
+    p = generate_family("cycle-triangles", 8)
+    assert order_vertices(p, "AUTO").heuristic == "VSEP"
+    assert estimated == [order_vertices(p, h).order for h in ("MD+PROC", "VSEP")]
+    # grid-diag(3): MD+PROC and VSEP both read 3,595, and OVER and MDR
+    # 1,543, which AUTO no longer weighs
     p = generate_family("grid-diag", 3)
     estimates = {h: product_estimate(p, order_vertices(p, h).order) for h in HEURISTICS}
-    assert estimates["MD+PROC"] == 3595
+    assert estimates["MD+PROC"] == estimates["VSEP"] == 3595
     assert estimates["OVER"] == estimates["MDR"] == min(estimates.values()) == 1543
-    monkeypatch.setattr(graphs, "AUTO_ESTIMATE_LIMIT", limit)
-    assert order_vertices(p, "AUTO").heuristic == used
+    monkeypatch.setattr(graphs, "AUTO_ESTIMATE_LIMIT", 2000)
+    assert order_vertices(p, "AUTO").heuristic == "MD+PROC"
 
 
 def test_list_size_order_prefers_small_lists():

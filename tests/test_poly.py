@@ -309,8 +309,10 @@ def test_driver_rejects_bad_mode_and_limit():
     ordering = order_vertices(p, "INPUT")
     with pytest.raises(ValueError):
         run_truncated_product(p, ordering, mode="fancy")
-    with pytest.raises(ValueError):
-        run_truncated_product(p, ordering, branch_limit=0)
+    # Settings refuses these limits, and so does the driver itself
+    for limit in (0, True, 2.5):
+        with pytest.raises(ValueError, match="branch limit"):
+            run_truncated_product(p, ordering, branch_limit=limit)
 
 
 def test_standard_final_terms_match_direct_oracle():
