@@ -227,13 +227,17 @@ def test_auto_weighs_md_proc_against_vsep_only(monkeypatch):
     p = generate_family("cycle-triangles", 8)
     assert order_vertices(p, "AUTO").heuristic == "VSEP"
     assert estimated == [order_vertices(p, h).order for h in ("MD+PROC", "VSEP")]
+
+
+@pytest.mark.parametrize("limit", [1000, 2000])
+def test_auto_keeps_md_proc_when_vsep_is_no_smaller(monkeypatch, limit):
     # grid-diag(3): MD+PROC and VSEP both read 3,595, and OVER and MDR
     # 1,543, which AUTO no longer weighs
     p = generate_family("grid-diag", 3)
     estimates = {h: product_estimate(p, order_vertices(p, h).order) for h in HEURISTICS}
     assert estimates["MD+PROC"] == estimates["VSEP"] == 3595
     assert estimates["OVER"] == estimates["MDR"] == min(estimates.values()) == 1543
-    monkeypatch.setattr(graphs, "AUTO_ESTIMATE_LIMIT", 2000)
+    monkeypatch.setattr(graphs, "AUTO_ESTIMATE_LIMIT", limit)
     assert order_vertices(p, "AUTO").heuristic == "MD+PROC"
 
 
