@@ -72,8 +72,9 @@ class Settings:
             raise ValueError("mode must be one of %s" % ", ".join(MODES))
         if self.heuristic not in HEURISTICS:
             raise ValueError("unknown heuristic %r" % (self.heuristic,))
-        check_limit(self.branch_limit, "branch limit", none_ok=True)
-        check_limit(self.pattern_cap, "pattern cap")
+        object.__setattr__(self, "branch_limit",
+                           check_limit(self.branch_limit, "branch limit", none_ok=True))
+        object.__setattr__(self, "pattern_cap", check_limit(self.pattern_cap, "pattern cap"))
 
 
 class FeasibleSearchTooLarge(Exception):
@@ -196,7 +197,7 @@ class _ConstraintSink:
     characteristic vector to zero.
 
     Each tight group (marked terms sharing one degree base) gives a row;
-    the marker is the lowest field, so a group's terms are consecutive.
+    the marker is the lowest digit, so a group's terms are consecutive.
     Unmarked terms, which the standard stage finds first, are skipped.
     """
 
@@ -311,7 +312,7 @@ def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP, stop
     ``stop``, when given, and the first for which it is true ends the
     search and the list.  Raises PatternCapExceeded once a pattern past
     the first cap is found, before ``stop`` sees it."""
-    check_limit(cap, "pattern cap")
+    cap = check_limit(cap, "pattern cap")
     found = []
 
     def visit(pattern) -> bool:
@@ -463,7 +464,8 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
         return Verdict(UNKNOWN, reason="NoWitness" if standard else "NoConstraints",
                        details=details)
     ordering = order_vertices(p, settings.heuristic)
-    estimate = product_estimate(p, ordering.order)
+    # AUTO's orderings keep the estimate it took, which is at least 1
+    estimate = ordering.estimate or product_estimate(p, ordering.order)
     details["ordering"] = {"heuristic": ordering.heuristic, "estimate": estimate}
     try:
         if p.m <= room:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import inspect
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 FIXED_HEURISTICS = ("INPUT", "VSEP", "MD", "MD+PROC", "OVER", "LIST", "LIST+DEG", "MDR")
@@ -116,10 +116,12 @@ class Problem:
 
 @dataclass(frozen=True)
 class VertexOrdering:
-    """Processing order: order[i] is the original index of the i-th vertex."""
+    """Processing order: order[i] is the original index of the i-th vertex.
+    ``estimate`` is its ``product_estimate`` when AUTO took one."""
 
     order: tuple[int, ...]
     heuristic: str = "INPUT"
+    estimate: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
@@ -197,17 +199,19 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
 
     AUTO keeps MD+PROC unless its ``product_estimate`` exceeds
     ``AUTO_ESTIMATE_LIMIT`` and VSEP's does not; then it takes VSEP.  The
-    ordering names the rule used.
+    ordering names the rule used and keeps the estimate it was given.
     """
     if heuristic not in HEURISTICS:
         raise ValueError("unknown heuristic %r" % heuristic)
     if heuristic == "AUTO":
         chosen = order_vertices(p, "MD+PROC")
-        if product_estimate(p, chosen.order) > AUTO_ESTIMATE_LIMIT:
+        estimate = product_estimate(p, chosen.order)
+        if estimate > AUTO_ESTIMATE_LIMIT:
             vsep = order_vertices(p, "VSEP")
-            if product_estimate(p, vsep.order) <= AUTO_ESTIMATE_LIMIT:
-                return vsep
-        return chosen
+            vsep_estimate = product_estimate(p, vsep.order)
+            if vsep_estimate <= AUTO_ESTIMATE_LIMIT:
+                chosen, estimate = vsep, vsep_estimate
+        return VertexOrdering(chosen.order, chosen.heuristic, estimate)
     if heuristic == "INPUT":
         return VertexOrdering(tuple(range(p.n)), heuristic)
     if heuristic == "MDR":

@@ -1,14 +1,15 @@
 """Packed degree vectors, sorted term lists, and truncated products.
 
 A polynomial is held as a strictly sorted list of terms.  Every term packs
-its degree vector into fixed-width bit fields of one or more 64-bit words,
-laid out so that comparing the word sequences big-endian equals comparing
-the degree vectors lexicographically in processing order.  Extended runs
-add one field at the end for an optional tight marker: code 0 means no
+its degree vector as mixed-radix digits in one or more 64-bit words, one
+digit per processing position, most significant first, so that comparing
+the word sequences big-endian equals comparing the degree vectors
+lexicographically in processing order (``DegreeLayout``).  Extended runs
+add one lowest digit for an optional tight marker: code 0 means no
 marker, code i+1 means the vertex at processing position i.  A marked term
 with packed degrees f' stands for the monomial x^(f' + 1_v) where v is the
 marked vertex and f'(v) = s(v) - 1; an unmarked term stands for x^f'.
-Standard runs never set a marker, so their layout has no marker field.
+Standard runs never set a marker, so their layout has no marker digit.
 
 Processing an edge multiplies the polynomial by (x_head - x_tail) and
 truncates: any degree reaching s(v), beyond the single marked coordinate,
@@ -23,7 +24,7 @@ branch limit, so a list of thousands of tiny prefixes makes a few dozen
 parts.
 
 Kernels: ``emit_bump`` and ``emit_mark`` select, then raise or mark, one
-vertex's field in a term array pair (``keys`` as above, int64 ``coeffs``);
+vertex's digit in a term array pair (``keys`` as above, int64 ``coeffs``);
 ``merge2`` merges two sorted pairs.  Selections use np.flatnonzero: a
 gather by index is several times faster than a boolean mask on millions
 of terms.  A sum past int64, or at INT64_MIN (whose negation wraps), sets
@@ -32,6 +33,8 @@ a flag in ``merge2``; the edge products, which know the edge, raise on it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +49,19 @@ class CoefficientOverflow(ArithmeticError):
 
 
 class DegreeLayout:
-    """Bit-field layout for packed degree vectors under one ordering.
+    """Mixed-radix layout for packed degree vectors under one ordering.
 
-    The only owner of the packed-key format.  With ``marked`` the keys end
-    in a tight-marker field, which extended runs need; without it
-    ``marker_bits`` and ``marker_mask`` are 0 and every term is unmarked.
+    The only owner of the packed-key format.  Each processing position is
+    a digit, most significant first; with ``marked`` a tight-marker digit
+    of radix n + 1, which extended runs need, comes last, else ``marker``
+    is None.  Digits fill 64-bit words in turn while a word's radices
+    multiply to at most 2^64 and each weight, the product of the radices
+    after a digit in its word, stays below 2^64.  The radices are powers of
+    two, at or above s(v) and n + 1, unless the exact values take fewer
+    words: a power-of-two span reduces with a mask, any other with a
+    division.  A degree digit never exceeds s(v) - 1.  ``place[v]`` is
+    vertex v's (word, weight, span), span = weight * radix; ``marker`` is
+    the marker's, weight 1; ``code[v]`` is v's marker code, position + 1.
     """
 
     def __init__(self, problem: Problem, ordering: VertexOrdering, marked: bool = True):
@@ -58,72 +69,70 @@ class DegreeLayout:
             raise ValueError("ordering size does not match problem")
         self.problem = problem
         self.ordering = ordering
-        n = problem.n
-        order = ordering.order
-        self.bits = max(problem.s).bit_length()  # at most 64, as Problem checks
-        per_word = 64 // self.bits
-        self.field_mask = (1 << self.bits) - 1
+        exact = [problem.s[v] for v in ordering.order] + [problem.n + 1] * marked
+        # on equal word counts min keeps the first, the powers of two
+        digits = min(_place([1 << (r - 1).bit_length() for r in exact]), _place(exact),
+                     key=lambda places: places[-1][0])
+        self.words = digits[-1][0] + 1
+        self.marker = digits[-1] if marked else None
+        self.code = [0] * problem.n
+        for i, v in enumerate(ordering.order):
+            self.code[v] = i + 1
+        self.place = [digits[c - 1] for c in self.code]
 
-        # field for processing position i, most significant field first
-        self.pos_word = [i // per_word for i in range(n)]
-        self.pos_shift = [64 - self.bits * ((i % per_word) + 1) for i in range(n)]
 
-        self.marker_bits = n.bit_length() if marked else 0
-        last_word = self.pos_word[n - 1]
-        used = 64 - self.pos_shift[n - 1]
-        if used + self.marker_bits <= 64:
-            self.marker_word = last_word
-            self.marker_shift = used + self.marker_bits
-        else:
-            self.marker_word = last_word + 1
-            self.marker_shift = self.marker_bits
-        self.marker_shift = 64 - self.marker_shift
-        self.marker_mask = (1 << self.marker_bits) - 1
-        self.words = self.marker_word + 1
+def _place(radices):
+    """(word, weight, span) per digit, filling words as ``DegreeLayout`` says."""
+    words = [[]]
+    product = 1
+    for r in radices:
+        # the first digit of a word has the largest weight, product // lead
+        if words[-1] and (product * r > 2**64 or product * r // words[-1][0] >= 2**64):
+            words.append([])
+            product = 1
+        words[-1].append(r)
+        product *= r
+    places = []
+    for w, word in enumerate(words):
+        span = math.prod(word)
+        for r in word:
+            places.append((w, span // r, span))
+            span //= r
+    return places
 
-        # original-vertex views of the per-position tables
-        self.v_word = [0] * n
-        self.v_shift = [0] * n
-        self.v_code = [0] * n
-        for i, v in enumerate(order):
-            self.v_word[v] = self.pos_word[i]
-            self.v_shift[v] = self.pos_shift[i]
-            self.v_code[v] = i + 1
 
-        # prefix_masks[i] keeps the degree fields of positions 0..i
-        self.prefix_masks = np.zeros((n, self.words), dtype=np.uint64)
-        acc = [0] * self.words
-        for i in range(n):
-            acc[self.pos_word[i]] |= self.field_mask << self.pos_shift[i]
-            self.prefix_masks[i] = [np.uint64(x) for x in acc]
+def _low(col, span):
+    """col % span on uint64 keys: numpy's % is several times slower than & or //."""
+    if span & (span - 1) == 0:
+        return col & np.uint64(span - 1)
+    span = np.uint64(span)
+    return col - col // span * span
 
 
 def emit_bump(keys, coeffs, layout, v, negate):
     """Terms whose degree at vertex v is at most s(v) - 2, with that degree
     raised by one; coefficients negated when ``negate`` is set."""
-    word, shift = layout.v_word[v], layout.v_shift[v]
-    limit = np.uint64((layout.problem.s[v] - 1) << shift)
-    take = np.flatnonzero((keys[:, word] & np.uint64(layout.field_mask << shift)) < limit)
+    word, weight, span = layout.place[v]
+    limit = np.uint64((layout.problem.s[v] - 1) * weight)
+    take = np.flatnonzero(_low(keys[:, word], span) < limit)
     out_k = keys[take]
     out_c = -coeffs[take] if negate else coeffs[take]
-    out_k[:, word] += np.uint64(1 << shift)
+    out_k[:, word] += np.uint64(weight)
     return out_k, out_c
 
 
 def emit_mark(keys, coeffs, layout, v, negate):
     """Unmarked terms whose degree at vertex v is s(v) - 1, marked at v;
     coefficients negated when ``negate`` is set."""
-    if not layout.marker_bits:
+    if layout.marker is None:
         raise ValueError("layout has no marker field")
-    word, shift = layout.v_word[v], layout.v_shift[v]
-    mword, mshift = layout.marker_word, layout.marker_shift
-    tight = np.uint64((layout.problem.s[v] - 1) << shift)
-    field = keys[:, word] & np.uint64(layout.field_mask << shift)
-    unmarked = (keys[:, mword] & np.uint64(layout.marker_mask << mshift)) == 0
-    take = np.flatnonzero((field == tight) & unmarked)
+    word, weight, span = layout.place[v]
+    mword, _, mspan = layout.marker
+    tight = _low(keys[:, word], span) >= np.uint64((layout.problem.s[v] - 1) * weight)
+    take = np.flatnonzero(tight & (_low(keys[:, mword], mspan) == 0))
     out_k = keys[take]
     out_c = -coeffs[take] if negate else coeffs[take]
-    out_k[:, mword] |= np.uint64(layout.v_code[v] << mshift)
+    out_k[:, mword] += np.uint64(layout.code[v])
     return out_k, out_c
 
 
@@ -206,13 +215,11 @@ def unpack_terms(layout: DegreeLayout, terms: TermList):
     n = layout.problem.n
     count = len(terms)
     degrees = np.empty((count, n), dtype=np.int64)
-    for v in range(n):
-        col = (terms.keys[:, layout.v_word[v]] >> np.uint64(layout.v_shift[v]))
-        degrees[:, v] = (col & np.uint64(layout.field_mask)).astype(np.int64)
-    codes = (
-        terms.keys[:, layout.marker_word] >> np.uint64(layout.marker_shift)
-    ) & np.uint64(layout.marker_mask)
-    codes = codes.astype(np.int64)
+    for v, (word, weight, span) in enumerate(layout.place):
+        degrees[:, v] = _low(terms.keys[:, word], span) // np.uint64(weight)
+    # without a marker digit, a digit of radix 1 reads 0 in every key
+    mword, _, mspan = layout.marker or (0, 1, 1)
+    codes = _low(terms.keys[:, mword], mspan).astype(np.int64)
     order = np.asarray(layout.ordering.order, dtype=np.int64)
     markers = np.where(codes == 0, -1, order[np.maximum(codes - 1, 0)])
     return degrees, markers, terms.coeffs.copy()
@@ -241,7 +248,7 @@ def multiply_edge_extended(terms: TermList, u: int, v: int, layout: DegreeLayout
     """Like the standard product, but a degree reaching s(v) - 1 on an
     unmarked term becomes a tight marker instead of being dropped; terms
     that would acquire a second tight coordinate are dropped.  Raises
-    ValueError on a layout without a marker field."""
+    ValueError on a layout without a marker digit."""
     tail, head = (u, v) if u < v else (v, u)
     ak, ac = emit_bump(terms.keys, terms.coeffs, layout, head, False)
     bk, bc = emit_mark(terms.keys, terms.coeffs, layout, head, False)
@@ -277,10 +284,14 @@ DEFAULT_BRANCH_LIMIT = 100000
 
 
 def check_limit(value, name: str, none_ok: bool = False):
-    """ValueError unless ``value`` is an int >= 1, or None when ``none_ok``.
-    A bool or float is refused: a cap of 1.5 never equals the count it caps."""
-    if not ((value is None and none_ok) or (type(value) is int and value >= 1)):
+    """``value`` as an int, or None when ``none_ok``; ValueError unless it
+    is an integer >= 1, numpy's included.  A bool or float is refused: a
+    cap of 1.5 never equals the count it caps."""
+    if (value is None and none_ok) or (type(value) is int and value >= 1):
+        return value
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
         raise ValueError("the %s must be %san int >= 1" % (name, "None or " * none_ok))
+    return int(value)
 
 
 def run_truncated_product(
@@ -301,7 +312,7 @@ def run_truncated_product(
     no later edge can change.  Walking down from the largest prefix, a
     part takes prefixes until it holds at least ``need`` terms; ``need``
     starts at 1 and doubles after each part, up to branch_limit.  Prefix
-    fields are the most significant, so parts deliver in descending key
+    digits are the most significant, so parts deliver in descending key
     order, and terms that could still meet (a tight group shares its
     base) never straddle two parts.  Completed parts hand their final
     terms to ``sink``, which returns True to stop the whole run (early
@@ -317,7 +328,7 @@ def run_truncated_product(
     """
     if mode not in ("standard", "extended"):
         raise ValueError("mode must be standard or extended")
-    check_limit(branch_limit, "branch limit", none_ok=True)
+    branch_limit = check_limit(branch_limit, "branch limit", none_ok=True)
     layout = DegreeLayout(problem, ordering, marked=mode == "extended")
     adj = problem.adjacency()
     position = problem.n * [0]
@@ -354,8 +365,11 @@ def run_truncated_product(
                     terms = _prune_unreachable(layout, terms, turn_bounds[i])
             i += 1
             if branch_limit is not None and len(terms) > branch_limit and i < n:
-                masked = terms.keys & layout.prefix_masks[i - 1]
-                change = np.any(masked[1:] != masked[:-1], axis=1)
+                # the prefix: the words before position i - 1's, and its word // weight
+                word, weight, _ = layout.place[ordering.order[i - 1]]
+                head = terms.keys[:, word] // np.uint64(weight)
+                change = head[1:] != head[:-1]
+                change |= np.any(terms.keys[1:, :word] != terms.keys[:-1, :word], axis=1)
                 bounds = np.concatenate(([0], np.flatnonzero(change) + 1))
                 parts = []
                 b, need = len(terms), 1
@@ -410,12 +424,11 @@ def _prune_unreachable(layout, terms, bound):
     that varies (``_turn_bound``).  The final terms do not change.
     """
     frontier, most = bound
-    mask = np.uint64(layout.field_mask)
     total = np.zeros(len(terms), dtype=np.uint64)
     for v, c in frontier:
-        field = terms.keys[:, layout.v_word[v]] >> np.uint64(layout.v_shift[v])
-        field &= mask
-        total += np.maximum(field, np.uint64(c), out=field)
+        word, weight, span = layout.place[v]
+        digit = _low(terms.keys[:, word], span) // np.uint64(weight)
+        total += np.maximum(digit, np.uint64(c), out=digit)
     keep = total <= most
     if keep.all():
         return terms

@@ -7,20 +7,23 @@ import numpy as np
 from choosability.oracle import _orientation_codes
 
 
-def pack(layout, f) -> np.ndarray:
-    """Pack a degree vector given in original vertex indexing."""
+def pack(layout, f, marker=None) -> np.ndarray:
+    """Pack a degree vector given in original vertex indexing, marked at
+    vertex ``marker`` unless it is None, digit by digit in Python ints."""
     words = [0] * layout.words
     for v, fv in enumerate(f):
-        if not (0 <= fv <= layout.problem.s[v]):
+        if not (0 <= fv < layout.problem.s[v]):
             raise ValueError("degree %d out of range at vertex %d" % (fv, v))
-        words[layout.v_word[v]] |= fv << layout.v_shift[v]
+        word, weight, _ = layout.place[v]
+        words[word] += fv * weight
+    if marker is not None:
+        words[layout.marker[0]] += layout.code[marker]
     return np.array(words, dtype=np.uint64)
 
 
 def unpack(layout, key) -> tuple[int, ...]:
     return tuple(
-        int((int(key[layout.v_word[v]]) >> layout.v_shift[v]) & layout.field_mask)
-        for v in range(layout.problem.n)
+        int(key[word]) % span // weight for word, weight, span in layout.place
     )
 
 

@@ -33,7 +33,9 @@ from choosability import (
     standard_alon_tarsi,
 )
 from choosability import decide as decide_module
+from choosability import graphs
 from choosability.graphs import DEFAULT_HEURISTIC, HEURISTICS, generate_family, order_vertices
+from choosability.decide import Settings
 from choosability.poly import RunStats, iter_terms, run_truncated_product
 
 from _examples import (
@@ -801,6 +803,44 @@ def test_pipeline_rejects_bad_settings_the_reductions_would_not_use(bad):
     for p in (triangle, generate_family("cycle-triangles", 3), second_pattern_bad()):
         with pytest.raises(ValueError):
             pipeline_decide(p, **bad)
+
+
+def test_numpy_integer_limits_are_taken_as_ints():
+    # Problem takes numpy integers, so the limits do too, stored as int
+    settings = Settings(branch_limit=np.int64(7), pattern_cap=np.uint16(5))
+    assert (settings.branch_limit, settings.pattern_cap) == (7, 5)
+    assert type(settings.branch_limit) is int and type(settings.pattern_cap) is int
+    assert pipeline_decide(second_pattern_bad(), pattern_cap=np.int64(1)).reason == "TooManyPatterns"
+    p = generate_family("grid-diag", 3)
+    plain = run_truncated_product(p, order_vertices(p, "INPUT"), branch_limit=1000)
+    assert run_truncated_product(p, order_vertices(p, "INPUT"), branch_limit=np.int32(1000)) == plain
+    vectors = as_masks(chi for chi in itertools.product((0, 1), repeat=3) if any(chi))
+    assert len(enumerate_assignment_patterns(vectors, (2, 2, 2), cap=np.int8(100))) == 16
+    for bad in (np.True_, np.float64(5.0), np.int64(0)):
+        with pytest.raises(ValueError):
+            Settings(pattern_cap=bad)
+        with pytest.raises(ValueError):
+            Settings(branch_limit=bad)
+
+
+@pytest.mark.parametrize("family, heuristic, calls", [
+    (("cycle-triangles", 8), "AUTO", 2),  # MD+PROC, then VSEP, which it takes
+    (("grid-diag", 3), "AUTO", 1),
+    (("grid-diag", 3), "VSEP", 1),
+])
+def test_each_ordering_is_estimated_once(monkeypatch, family, heuristic, calls):
+    estimate = graphs.product_estimate
+    seen = []
+
+    def counted(p, order):
+        seen.append(tuple(order))
+        return estimate(p, order)
+
+    monkeypatch.setattr(graphs, "product_estimate", counted)
+    monkeypatch.setattr(decide_module, "product_estimate", counted)
+    verdict = pipeline_decide(generate_family(*family), heuristic=heuristic, mode="standard")
+    assert len(seen) == calls
+    assert verdict.details["ordering"]["estimate"] == estimate(generate_family(*family), seen[-1])
 
 
 def test_pipeline_feasible_cap_gives_unknown():

@@ -147,12 +147,7 @@ def _layout_and_terms(entries, marked=True):
     """A two-vertex layout and a sorted term list of (f, marker, coeff)."""
     p = Problem(n=2, s=(3, 3), edges=())
     layout = DegreeLayout(p, VertexOrdering(order=(0, 1)), marked=marked)
-    keys = []
-    for f, marker, _ in entries:
-        key = pack(layout, f)
-        if marker is not None:
-            key[layout.marker_word] |= np.uint64(layout.v_code[marker] << layout.marker_shift)
-        keys.append(key)
+    keys = [pack(layout, f, marker) for f, marker, _ in entries]
     order = sorted(range(len(keys)), key=lambda i: tuple(int(x) for x in keys[i]))
     keys = np.stack([keys[i] for i in order])
     coeffs = np.array([entries[i][2] for i in order], dtype=np.int64)
@@ -164,7 +159,7 @@ def test_emit_bump_filters_and_increments():
         [((0, 0), None, 1), ((0, 1), None, 2), ((0, 2), None, 3), ((2, 1), 0, 4)]
     )
     # vertex 1 has s = 3: degrees 0 and 1 are raised, degree 2 is dropped,
-    # and the raise leaves the marker field alone
+    # and the raise leaves the marker digit alone
     out_k, out_c = emit_bump(keys, coeffs, layout, 1, True)
     assert list(iter_terms(layout, TermList(out_k, out_c))) == [
         ((0, 1), None, -1),
@@ -195,6 +190,6 @@ def test_emit_mark_skips_marked_terms():
 
 def test_emit_mark_refuses_a_layout_without_a_marker_field():
     layout, keys, coeffs = _layout_and_terms([((0, 2), None, 1)], marked=False)
-    assert layout.marker_bits == 0
+    assert layout.marker is None
     with pytest.raises(ValueError, match="no marker field"):
         emit_mark(keys, coeffs, layout, 1, False)

@@ -66,9 +66,11 @@ def collect(p, mode="standard", branch_limit=None, heuristic="INPUT", **kw):
 @st.composite
 def problem_and_degrees(draw):
     n = draw(st.integers(1, 8))
-    s = tuple(draw(st.integers(1, 7)) for _ in range(n))
-    f = tuple(draw(st.integers(0, s[v])) for v in range(n))
-    g = tuple(draw(st.integers(0, s[v])) for v in range(n))
+    # large lists spread the digits over several words
+    s = tuple(draw(st.one_of(st.integers(1, 7), st.integers(1, 2**40))) for _ in range(n))
+    # no term holds a degree of s(v) or more
+    f = tuple(draw(st.integers(0, s[v] - 1)) for v in range(n))
+    g = tuple(draw(st.integers(0, s[v] - 1)) for v in range(n))
     seed = draw(st.integers(0, 2**16))
     return Problem(n=n, s=s, edges=()), f, g, seed
 
@@ -91,7 +93,7 @@ def test_pack_rejects_out_of_range():
     p = Problem(n=2, s=(2, 2), edges=((0, 1),))
     layout = DegreeLayout(p, order_vertices(p, "INPUT"))
     with pytest.raises(ValueError):
-        pack(layout, (3, 0))
+        pack(layout, (2, 0))
     with pytest.raises(ValueError):
         pack(layout, (-1, 0))
 
@@ -99,9 +101,9 @@ def test_pack_rejects_out_of_range():
 def test_layout_rejects_fields_wider_than_a_word():
     widest = Problem(n=2, s=(2**64 - 1, 1), edges=((0, 1),))
     layout = DegreeLayout(widest, order_vertices(widest, "INPUT"))
-    assert layout.bits == 64
-    assert unpack(layout, pack(layout, (2**64 - 1, 1))) == (2**64 - 1, 1)
-    # a wider field is refused when the problem is built, so no layout,
+    assert layout.place[0] == (0, 1, 2**64)
+    assert unpack(layout, pack(layout, (2**64 - 2, 0))) == (2**64 - 2, 0)
+    # a wider list is refused when the problem is built, so no layout,
     # and no reduction that would delete the vertex, ever sees it
     with pytest.raises(ValueError, match="64-bit field"):
         Problem(n=2, s=(2**64, 1), edges=((0, 1),))
@@ -111,8 +113,51 @@ def test_layout_spans_multiple_words():
     p = Problem(n=14, s=(31,) * 14, edges=())
     layout = DegreeLayout(p, order_vertices(p, "INPUT"))
     assert layout.words >= 2
-    f = tuple((5 * v) % 32 for v in range(14))
+    f = tuple((5 * v) % 31 for v in range(14))
     assert unpack(layout, pack(layout, f)) == f
+
+
+def _finals(p, mode, heuristic="INPUT"):
+    sink, outcome, _ = collect(p, mode=mode, branch_limit=1, heuristic=heuristic)
+    assert outcome == "completed"
+    return sink.terms
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_no_weight_reaches_a_full_word(mode):
+    # a lead digit of radix 1 before a radix of 2^64 would weigh 2^64
+    p = Problem(n=2, s=(1, 2**64 - 1), edges=((0, 1),))
+    layout = DegreeLayout(p, order_vertices(p, "INPUT"), marked=mode == "extended")
+    assert all(weight < 2**64 for _, weight, _ in layout.place)
+    assert unpack(layout, pack(layout, (0, 2**64 - 2))) == (0, 2**64 - 2)
+    expected = {"standard": [((0, 1), None, 1)],
+                "extended": [((0, 0), 0, -1), ((0, 1), None, 1)]}[mode]
+    assert _finals(p, mode) == expected
+
+
+def test_lists_of_one_take_no_room():
+    p = Problem(n=3, s=(1, 1, 1), edges=((0, 1), (1, 2)))
+    layout = DegreeLayout(p, order_vertices(p, "INPUT"))
+    assert layout.words == 1 and [weight for _, weight, _ in layout.place] == [4, 4, 4]
+    assert _finals(p, "standard") == []
+    # only the product's first edge can mark a term: the second finds it marked
+    assert _finals(p, "extended") == []
+    q = Problem(n=2, s=(1, 1), edges=((0, 1),))
+    assert _finals(q, "extended") == [((0, 0), 0, -1), ((0, 0), 1, 1)]
+
+
+def test_a_marker_alone_in_its_word():
+    # 32 digits of radix 4 fill word 0, so the marker opens word 1
+    p = Problem(n=32, s=(4,) * 32, edges=((0, 1), (1, 2), (0, 2), (2, 31)))
+    layout = DegreeLayout(p, order_vertices(p, "INPUT"))
+    assert layout.words == 2 and layout.marker == (1, 1, 64)
+    assert {word for word, _, _ in layout.place} == {0}
+    # the same product on the four vertices alone, the others' degrees 0
+    small = Problem(n=4, s=(4,) * 4, edges=((0, 1), (1, 2), (0, 2), (2, 3)))
+    widen = lambda f: f[:3] + (0,) * 28 + f[3:]
+    expected = [(widen(f), marker if marker != 3 else 31, c)
+                for f, marker, c in _finals(small, "extended")]
+    assert _finals(p, "extended") == expected
 
 
 # ---------------------------------------------------------- multiply ops
@@ -239,14 +284,14 @@ def problem_and_term_list(draw):
     s = tuple(draw(st.integers(2 ** (bits - 1), 2**bits - 1)) for _ in range(n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = tuple(sorted(draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=8))))
-    degrees = st.tuples(*(st.integers(0, sv) for sv in s))
+    degrees = st.tuples(*(st.integers(0, sv - 1) for sv in s))
     coeffs = st.one_of(st.integers(-3, 3).filter(bool), st.sampled_from([2**62, -(2**62)]))
     start = draw(st.dictionaries(degrees, coeffs, min_size=1, max_size=20))
     # partners that the first edge merges into the same key, so that
     # coefficients combine and, at +-2^62, can overflow
     tail, head = edges[0]
     for f in list(start):
-        if f[tail] > 0 and f[head] < s[head] and draw(st.booleans()):
+        if f[tail] > 0 and f[head] < s[head] - 1 and draw(st.booleans()):
             g = list(f)
             g[tail] -= 1
             g[head] += 1
@@ -276,23 +321,43 @@ def test_standard_multiply_does_not_need_the_marker_field(case):
     ordering = order_vertices(p, "INPUT")
     marked = DegreeLayout(p, ordering)
     plain = DegreeLayout(p, ordering, marked=False)
-    assert plain.marker_bits == 0 and plain.words in (marked.words, marked.words - 1)
+    assert plain.marker is None and plain.words in (marked.words, marked.words - 1)
     assert _standard_chain(p, plain, start) == _standard_chain(p, marked, start)
 
 
-@pytest.mark.parametrize("family", [("grid-diag", 4), ("cycle-triangles", 10)])
+def _regular_60():
+    """A 4-regular graph on 60 vertices, lists of 3: 3^60 > 2^64."""
+    edges = {tuple(sorted((v, (v + d) % 60))) for v in range(60) for d in (1, 2)}
+    return Problem(n=60, s=(3,) * 60, edges=tuple(sorted(edges)))
+
+
+# (family or None for _regular_60, then words and whether every radix is a
+# power of two, standard and extended)
+@pytest.mark.parametrize("family", [
+    (("grid-diag", 4), 1, True, 1, True),
+    (("cycle-triangles", 10), 1, True, 1, False),
+    (("grid-diag", 5), 1, False, 2, True),
+    (("cycle-triangles", 12), 1, False, 1, False),
+    (None, 2, True, 2, True),
+])
 def test_standard_runs_of_paper_families_use_one_word(family):
-    p = generate_family(*family)
-    words = []
+    """Word counts and radices under the default ordering: exact radices
+    only where they save a word."""
+    p = generate_family(*family[0]) if family[0] else _regular_60()
+    ordering = order_vertices(p, DEFAULT_HEURISTIC)
+    seen = []
 
     def first(layout, terms):
-        words.append(layout.words)
+        seen.append(layout.words)
         return True
 
-    run_truncated_product(p, order_vertices(p, DEFAULT_HEURISTIC), sink=first)
-    assert words == [1]
-    # the marker field is what would take the keys into a second word
-    assert DegreeLayout(p, order_vertices(p, "INPUT")).words == 2
+    run_truncated_product(p, ordering, sink=first)
+    assert seen == [family[1]]
+    shapes = []
+    for layout in (DegreeLayout(p, ordering, marked=False), DegreeLayout(p, ordering)):
+        digits = layout.place + [layout.marker] * (layout.marker is not None)
+        shapes += [layout.words, all(span & (span - 1) == 0 for _, _, span in digits)]
+    assert tuple(shapes) == family[1:]
 
 
 def test_extended_multiply_refuses_an_unmarked_layout():
