@@ -4,8 +4,9 @@ Subcommands: decide (run the decision pipeline or a single stage),
 coefficients (dump final truncated-product terms), oracle (independent
 slow cross-checks), bench (compare ordering heuristics), gen (emit a
 problem file for a built-in family).  `-` reads the problem from stdin.
-Exit codes: 0 CHOOSABLE, 1 NOT_CHOOSABLE, 2 UNKNOWN, 3 usage or input
-error.
+Each command but gen builds one report and prints it as text or, under
+`--json`, as one line of JSON with sorted keys.  Exit codes: 0
+CHOOSABLE, 1 NOT_CHOOSABLE, 2 UNKNOWN, 3 usage or input error.
 """
 
 from __future__ import annotations
@@ -51,25 +52,7 @@ def read_problem(path: str) -> Problem:
         return parse_problem(sys.stdin.read(), name="<stdin>")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    name = path.rsplit("/", 1)[-1]
-    if name.endswith(".prob"):
-        name = name[: -len(".prob")]
-    return parse_problem(text, name=name)
-
-
-def _add_run_flags(sp, modes, default_mode):
-    sp.add_argument("--mode", choices=modes, default=default_mode)
-    sp.add_argument("--heuristic", choices=HEURISTICS, default=DEFAULT_HEURISTIC)
-    sp.add_argument(
-        "--branch-limit",
-        type=int,
-        default=DEFAULT_BRANCH_LIMIT,
-        metavar="N",
-        help="terms a list may hold after a vertex turn before it splits into "
-        "parts of whole prefixes, growing 1, 2, 4, ... terms up to N; "
-        "0 disables splitting",
-    )
-    sp.add_argument("--json", action="store_true", help="emit a JSON report")
+    return parse_problem(text, name=path.rsplit("/", 1)[-1].removesuffix(".prob"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,10 +75,26 @@ def build_parser() -> argparse.ArgumentParser:
         "graphs via truncated graph-polynomial coefficients.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # the problem and --json, for the commands whose only positional is the
+    # problem: oracle takes its action first, so it declares its own
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("problem", help="problem file, or - for stdin")
+    common.add_argument("--json", action="store_true", help="print the report as one JSON line")
+    # plus the settings of a product run, for decide and coefficients
+    product_flags = argparse.ArgumentParser(add_help=False, parents=[common])
+    product_flags.add_argument("--heuristic", choices=HEURISTICS, default=DEFAULT_HEURISTIC)
+    product_flags.add_argument(
+        "--branch-limit",
+        type=int,
+        default=DEFAULT_BRANCH_LIMIT,
+        metavar="N",
+        help="terms a list may hold after a vertex turn before it splits into "
+        "parts of whole prefixes, growing 1, 2, 4, ... terms up to N; "
+        "0 disables splitting",
+    )
 
-    sp = sub.add_parser("decide", help="run the decision pipeline")
-    sp.add_argument("problem", help="problem file, or - for stdin")
-    _add_run_flags(sp, modes=decide_mod.MODES, default_mode="pipeline")
+    sp = sub.add_parser("decide", parents=[product_flags], help="run the decision pipeline")
+    sp.add_argument("--mode", choices=decide_mod.MODES, default="pipeline")
     sp.add_argument(
         "--pattern-cap", type=int, default=decide_mod.DEFAULT_PATTERN_CAP, metavar="C"
     )
@@ -105,12 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="in the standard product, drop terms whose degree budgets cannot "
         "hold the edges still to multiply",
     )
+    sp.set_defaults(run=_cmd_decide)
 
     sp = sub.add_parser(
-        "coefficients", help="print every final truncated-product term"
+        "coefficients", parents=[product_flags], help="print every final truncated-product term"
     )
-    sp.add_argument("problem", help="problem file, or - for stdin")
-    _add_run_flags(sp, modes=("standard", "extended"), default_mode="standard")
+    sp.add_argument("--mode", choices=("standard", "extended"), default="standard")
+    sp.set_defaults(run=_cmd_coefficients)
 
     sp = sub.add_parser("oracle", help="independent slow cross-checks")
     sp.add_argument(
@@ -123,21 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
         "degrees", nargs="*", type=int,
         help="degree vector f(0) .. f(n-1) (coefficient action only)",
     )
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--json", action="store_true", help="print the answer as one JSON line")
+    sp.set_defaults(run=_cmd_oracle)
 
-    sp = sub.add_parser("bench", help="compare ordering heuristics")
-    sp.add_argument("problem", help="problem file, or - for stdin")
+    sp = sub.add_parser("bench", parents=[common], help="compare ordering heuristics")
     sp.add_argument(
         "--heuristics",
         default=",".join(FIXED_HEURISTICS),
         help="comma-separated list (default: all but AUTO, which picks one of them)",
     )
-    sp.add_argument("--json", action="store_true")
+    sp.set_defaults(run=_cmd_bench)
 
     sp = sub.add_parser("gen", help="emit a problem file for a family")
     sp.add_argument("family", choices=FAMILIES)
     sp.add_argument("params", nargs="+", type=int)
     sp.add_argument("-o", "--output", default="-", help="file, or - for stdout")
+    sp.set_defaults(run=_cmd_gen)
 
     return ap
 
@@ -151,8 +152,8 @@ def _config(args, *names) -> dict:
 
 
 def _report(p: Problem, config: dict, args, **fields) -> dict:
-    """The problem and the command's settings, which every report echoes,
-    plus fields."""
+    """The problem and the run settings, which the reports of decide and
+    coefficients echo, plus fields."""
     output = "json" if args.json else "text"
     return {
         "problem": {"name": p.name, "n": p.n, "m": p.m},
@@ -167,10 +168,16 @@ def _print_pattern(pattern) -> None:
         print("  vector %s x%d" % (entry["vector"], entry["multiplicity"]))
 
 
-def _print_report(report: dict, as_json: bool) -> None:
-    if as_json:
+def _emit(args, report: dict, print_text) -> None:
+    """Print ``report`` as one line of JSON with sorted keys under --json,
+    and otherwise as ``print_text(report)`` prints it."""
+    if args.json:
         print(json.dumps(report, sort_keys=True))
-        return
+    else:
+        print_text(report)
+
+
+def _print_decide(report: dict) -> None:
     prob = report["problem"]
     label = prob["name"] or "<unnamed>"
     print("problem: %s (n=%d, m=%d)" % (label, prob["n"], prob["m"]))
@@ -209,16 +216,9 @@ def _print_report(report: dict, as_json: bool) -> None:
         print("ordering: %(heuristic)s estimate=%(estimate)d" % details["ordering"])
     for key in ("standard_stats", "extended_stats"):
         if key in details:
-            st = details[key]
-            print(
-                "%s: monomials=%d peak=%d branches=%d"
-                % (
-                    key.replace("_stats", " run"),
-                    st["total_monomials"],
-                    st["peak_terms"],
-                    st["branches"],
-                )
-            )
+            run = key.replace("_stats", " run")
+            stats = "monomials=%(total_monomials)d peak=%(peak_terms)d branches=%(branches)d"
+            print("%s: %s" % (run, stats % details[key]))
 
 
 def _cmd_decide(args) -> int:
@@ -234,39 +234,54 @@ def _cmd_decide(args) -> int:
         reason=verdict.reason,
         details=verdict.details,
     )
-    _print_report(report, args.json)
+    _emit(args, report, _print_decide)
     return EXIT_CODES[verdict.status]
+
+
+def _print_terms(report: dict) -> None:
+    for term in report["terms"]:
+        mark = "-" if term["marker"] is None else str(term["marker"])
+        print("%s %s %d" % (" ".join(str(x) for x in term["f"]), mark, term["coefficient"]))
 
 
 def _cmd_coefficients(args) -> int:
     p = read_problem(args.problem)
     config = _config(args)
     ordering = order_vertices(p, config["heuristic"])
-    rows = []
+    terms = []
+
+    def sink(layout, part):
+        terms.extend(
+            {"f": f, "marker": marker, "coefficient": coeff}
+            for f, marker, coeff in iter_terms(layout, part)
+        )
+
     try:
         run_truncated_product(
             p,
             ordering,
             mode=config["mode"],
             branch_limit=config["branch_limit"],
-            sink=lambda layout, terms: rows.extend(iter_terms(layout, terms)),
+            sink=sink,
         )
     except CoefficientOverflow as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CODES[decide_mod.UNKNOWN]
     # unmarked terms before the marked terms of the same degrees
-    rows.sort(key=lambda r: (r[0], r[1] is not None, r[1] or 0))
-    if args.json:
-        terms = [
-            {"f": list(f), "marker": marker, "coefficient": coeff}
-            for f, marker, coeff in rows
-        ]
-        print(json.dumps(_report(p, config, args, terms=terms), sort_keys=True))
-    else:
-        for f, marker, coeff in rows:
-            mark = "-" if marker is None else str(marker)
-            print("%s %s %d" % (" ".join(str(x) for x in f), mark, coeff))
+    terms.sort(key=lambda t: (t["f"], t["marker"] is not None, t["marker"] or 0))
+    _emit(args, _report(p, config, args, terms=terms), _print_terms)
     return 0
+
+
+def _print_table(report: dict) -> None:
+    for entry in report["entries"]:
+        f = " ".join(str(x) for x in entry["f"])
+        print("%s %d %d" % (f, entry["coefficient"], entry["orientations"]))
+
+
+def _print_choosable(report: dict) -> None:
+    print("choosable" if report["choosable"] else "not choosable")
+    _print_pattern(report["witness"] or [])
 
 
 def _cmd_oracle(args) -> int:
@@ -275,35 +290,14 @@ def _cmd_oracle(args) -> int:
     p = read_problem(args.problem)
     if args.action == "coefficient":
         coeff = oracle_mod.direct_coefficient(p, tuple(args.degrees))
-        if args.json:
-            print(json.dumps({"f": args.degrees, "coefficient": coeff}))
-        else:
-            print(coeff)
+        _emit(args, {"f": args.degrees, "coefficient": coeff}, lambda r: print(coeff))
         return 0
     if args.action == "table":
-        table = oracle_mod.coefficient_table(p)
-        entries = sorted(table.items())
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "entries": [
-                            {
-                                "f": list(f),
-                                "coefficient": signed,
-                                "orientations": count,
-                            }
-                            for f, (signed, count) in entries
-                        ]
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            for f, (signed, count) in entries:
-                print(
-                    "%s %d %d" % (" ".join(str(x) for x in f), signed, count)
-                )
+        entries = [
+            {"f": list(f), "coefficient": signed, "orientations": count}
+            for f, (signed, count) in sorted(oracle_mod.coefficient_table(p).items())
+        ]
+        _emit(args, {"entries": entries}, _print_table)
         return 0
     # choosable
     try:
@@ -312,11 +306,7 @@ def _cmd_oracle(args) -> int:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_CODES[decide_mod.UNKNOWN]
     pattern = None if ok else oracle_mod.pattern_json(witness)
-    if args.json:
-        print(json.dumps({"choosable": ok, "witness": pattern}))
-    else:
-        print("choosable" if ok else "not choosable")
-        _print_pattern(pattern or [])
+    _emit(args, {"choosable": ok, "witness": pattern}, _print_choosable)
     return 0 if ok else 1
 
 
@@ -325,38 +315,44 @@ def bench_orderings(p: Problem, heuristics=FIXED_HEURISTICS) -> list[dict]:
     ``product_estimate``.
 
     Runs the standard-mode product to completion at the default branch
-    limit, once per heuristic, and reports counts relative to the INPUT
-    ordering.  The counts do not depend on the limit; the limit bounds
-    the terms held at once, not the time, which grows with the count.
+    limit, once per heuristic named.  When INPUT is among them, each
+    count is also given relative to INPUT's.  The counts do not depend
+    on the limit; the limit bounds the terms held at once, not the time,
+    which grows with the count.
     """
-    wanted = list(dict.fromkeys(heuristics))
     # every name is checked before any product runs
-    orderings = {h: order_vertices(p, h) for h in dict.fromkeys(["INPUT", *wanted])}
-    runs = {}
+    orderings = {h: order_vertices(p, h) for h in dict.fromkeys(heuristics)}
+    rows = []
     for h, ordering in orderings.items():
+        row = {
+            "heuristic": h,
+            "order": list(ordering.order),
+            "estimate": product_estimate(p, ordering.order),
+            "monomials": None,
+            "relative_percent": None,
+            "error": None,
+        }
         try:
             _, stats = run_truncated_product(p, ordering, mode="standard")
-            runs[h] = (tuple(ordering.order), stats.total_monomials, None)
+            row["monomials"] = stats.total_monomials
         except CoefficientOverflow as exc:
-            runs[h] = (tuple(ordering.order), None, str(exc))
-    baseline = runs["INPUT"][1]
-    rows = []
-    for h in wanted:
-        order, count, error = runs[h]
-        relative = (
-            100.0 * count / baseline if count is not None and baseline else None
-        )
-        rows.append(
-            {
-                "heuristic": h,
-                "order": list(order),
-                "estimate": product_estimate(p, order),
-                "monomials": count,
-                "relative_percent": relative,
-                "error": error,
-            }
-        )
+            row["error"] = str(exc)
+        rows.append(row)
+    baseline = next((r["monomials"] for r in rows if r["heuristic"] == "INPUT"), None)
+    for row in rows:
+        if row["monomials"] is not None and baseline:
+            row["relative_percent"] = 100.0 * row["monomials"] / baseline
     return rows
+
+
+def _print_bench(report: dict) -> None:
+    print("%-10s %14s %14s %10s" % ("heuristic", "estimate", "monomials", "relative"))
+    for row in report["rows"]:
+        count = "overflow" if row["error"] is not None else row["monomials"]
+        rel = row["relative_percent"]
+        rel = "-" if rel is None else "%.1f%%" % rel
+        print("%-10s %14d %14s %10s" % (row["heuristic"], row["estimate"], count, rel))
+    print("AUTO takes %s" % report["auto"])
 
 
 def _cmd_bench(args) -> int:
@@ -364,19 +360,12 @@ def _cmd_bench(args) -> int:
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
     if not heuristics:
         raise ValueError("--heuristics names no heuristic")
-    rows = bench_orderings(p, heuristics)
-    auto = order_vertices(p, "AUTO").heuristic
-    if args.json:
-        problem = {"name": p.name, "n": p.n, "m": p.m}
-        print(json.dumps({"problem": problem, "rows": rows, "auto": auto}, indent=2))
-        return 0
-    print("%-10s %14s %14s %10s" % ("heuristic", "estimate", "monomials", "relative"))
-    for row in rows:
-        count = "overflow" if row["error"] is not None else row["monomials"]
-        rel = row["relative_percent"]
-        rel = "-" if rel is None else "%.1f%%" % rel
-        print("%-10s %14d %14s %10s" % (row["heuristic"], row["estimate"], count, rel))
-    print("AUTO takes %s" % auto)
+    report = {
+        "problem": {"name": p.name, "n": p.n, "m": p.m},
+        "rows": bench_orderings(p, heuristics),
+        "auto": order_vertices(p, "AUTO").heuristic,
+    }
+    _emit(args, report, _print_bench)
     return 0
 
 
@@ -391,15 +380,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "decide": _cmd_decide,
-    "coefficients": _cmd_coefficients,
-    "oracle": _cmd_oracle,
-    "bench": _cmd_bench,
-    "gen": _cmd_gen,
-}
-
-
 def main(argv=None) -> int:
     # numpy asks the kernel for transparent huge pages on arrays of 4 MB and
     # up; whether they come, at the fault or later from khugepaged, depends
@@ -409,7 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:  # a ProblemFormatError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

@@ -393,6 +393,28 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, monkeypatch
     assert [code for _, _, code in shared] == [1, 3, 0, 1, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide"],
+        ["coefficients"],
+        ["oracle", "coefficient"],
+        ["oracle", "table"],
+        ["oracle", "choosable"],
+        ["bench"],
+    ],
+    ids="-".join,
+)
+def test_every_json_report_is_one_sorted_line(tmp_path, capsys, argv):
+    # NOT_CHOOSABLE, so the oracle's witness is printed too
+    path = write_problem(tmp_path, cycle(5))
+    degrees = ["1"] * 5 if argv[-1] == "coefficient" else []
+    code, out, err = run_cli(capsys, [*argv, path, *degrees, "--json"])
+    assert code in (0, 1) and err == ""
+    assert len(out.splitlines()) == 1
+    assert json.dumps(json.loads(out), sort_keys=True) == out.strip()
+
+
 def test_cli_runs_ask_for_no_huge_pages(capsys):
     """Huge pages come or not with the host's free memory, which would
     make a run's time vary from one process to the next."""
@@ -619,6 +641,24 @@ def test_bench_names_the_ordering_auto_takes(tmp_path, capsys):
     assert (rows["VSEP"]["estimate"], rows["MD+PROC"]["estimate"]) == (7978, 1395022)
     assert rows["VSEP"]["monomials"] < rows["MD+PROC"]["monomials"]
     assert report["auto"] == "VSEP"
+
+
+def test_bench_runs_only_the_orderings_it_is_named(tmp_path, capsys):
+    # INPUT is the relative column's baseline, so without it there is none
+    path = write_problem(tmp_path, generate_family("cycle-triangles", 6))
+    with mock.patch.object(
+        cli, "run_truncated_product", wraps=cli.run_truncated_product
+    ) as product:
+        code, out, _ = run_cli(
+            capsys, ["bench", path, "--heuristics", "VSEP,MD+PROC", "--json"]
+        )
+    assert code == 0
+    assert product.call_count == 2
+    rows = json.loads(out)["rows"]
+    assert [row["heuristic"] for row in rows] == ["VSEP", "MD+PROC"]
+    assert [row["relative_percent"] for row in rows] == [None, None]
+    _, out, _ = run_cli(capsys, ["bench", path, "--heuristics", "VSEP"])
+    assert out.splitlines()[1].split()[-1] == "-"
 
 
 @pytest.mark.parametrize("names", [",", "", " , "])
