@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BRANCH_LIMIT,
         metavar="N",
         help="terms a list may hold after a vertex turn before it splits into "
-        "parts of whole prefixes, growing 1, 2, 4, ... terms up to N; "
-        "0 disables splitting",
+        "parts of whole prefixes, growing 1, 2, 4, ... terms up to N (in decide's "
+        "standard stage, min(N, %d)); 0 disables splitting" % decide_mod.WITNESS_SPLIT,
     )
 
     sp = sub.add_parser("decide", parents=[product_flags], help="run the decision pipeline")

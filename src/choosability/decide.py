@@ -26,6 +26,7 @@ from .graphs import DEFAULT_HEURISTIC, HEURISTICS, Problem, VertexOrdering
 from .graphs import blocks, order_vertices, product_estimate
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
+    WITNESS_SPLIT,
     CoefficientOverflow,
     TermList,
     check_limit,
@@ -222,9 +223,12 @@ def standard_alon_tarsi(
     prune_matching: bool = False,
 ):
     """(witness, stats): the largest surviving full-degree monomial, as
-    (f, coefficient), or None, and the run stats."""
+    (f, coefficient), or None, and the run stats.  The run splits past
+    min(branch_limit, WITNESS_SPLIT) terms, or not at all when it is None."""
     if ordering is None:
         ordering = order_vertices(p, DEFAULT_HEURISTIC)
+    if branch_limit is not None:
+        branch_limit = min(check_limit(branch_limit, "branch limit"), WITNESS_SPLIT)
     sink = _FirstTermSink()
     _, stats = run_truncated_product(
         p,

@@ -281,6 +281,11 @@ OUTCOME_ABORTED = "aborted"
 
 # Terms a segment may hold after a turn before the run splits it.
 DEFAULT_BRANCH_LIMIT = 100000
+# The witness search (``decide.standard_alon_tarsi``) splits past this many
+# terms when the branch limit is larger: its first term ends the run, and a
+# small part reaches it sooner (grid-diag(4): 5 ms, not 28).  A search that
+# finds none pays for the parts; README gives the sweep from 1,024 to 8,192.
+WITNESS_SPLIT = 4096
 
 
 def check_limit(value, name: str, none_ok: bool = False):

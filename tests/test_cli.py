@@ -221,6 +221,16 @@ def test_decide_branch_limit_zero_disables_partitioning(tmp_path, capsys):
     report = json.loads(out)
     assert report["config"]["branch_limit"] is None
     assert report["certificate"] == pipeline_decide(cycle(5)).certificate
+    # the witness search splits cycle-triangles(8) at its 4,922-term peak
+    # unless splitting is off
+    path = write_problem(tmp_path, generate_family("cycle-triangles", 8))
+    for flags, stats in (
+        ([], "monomials=24742 peak=4922 branches=2"),
+        (["--branch-limit", "0"], "monomials=29054 peak=4922 branches=1"),
+    ):
+        code, out, _ = run_cli(capsys, ["decide", path, "--mode", "standard", *flags])
+        assert code == 0
+        assert out.splitlines()[-1] == "standard run: " + stats
 
 
 def _bad_pattern(report):

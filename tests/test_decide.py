@@ -36,7 +36,8 @@ from choosability import decide as decide_module
 from choosability import graphs
 from choosability.graphs import DEFAULT_HEURISTIC, HEURISTICS, generate_family, order_vertices
 from choosability.decide import Settings
-from choosability.poly import RunStats, iter_terms, run_truncated_product
+from choosability.poly import DEFAULT_BRANCH_LIMIT, WITNESS_SPLIT, RunStats
+from choosability.poly import iter_terms, run_truncated_product
 
 from _examples import (
     agreement_corpus,
@@ -954,6 +955,60 @@ def test_pipeline_verdict_invariant_under_branch_limits():
                 reference.status,
                 reference.certificate,
             )
+
+
+# Witness searches near and past WITNESS_SPLIT terms.  Unsplit, grid-diag(4)
+# and (5) hold 52 M terms and more, so their reference splits at the branch
+# limit, as the standard stage did before it split early.
+EARLY_SPLITS = [
+    (("grid-diag", 3), None),
+    (("grid-diag", 4), DEFAULT_BRANCH_LIMIT),
+    (("grid-diag", 5), DEFAULT_BRANCH_LIMIT),
+    (("glued-cliques-minus-edge", 2, 6), None),
+    (("glued-cliques-minus-edge", 3, 5), None),
+    (("cycle-triangles", 6), None),
+    (("cycle-triangles", 8), None),
+]
+
+
+@pytest.mark.parametrize("heuristic", ["AUTO", "MD+PROC"])
+@pytest.mark.parametrize("family, reference_limit", EARLY_SPLITS)
+def test_the_early_split_finds_the_same_witness(family, reference_limit, heuristic):
+    p = generate_family(*family)
+    ordering = order_vertices(p, heuristic)
+    reference = decide_module._FirstTermSink()
+    run_truncated_product(p, ordering, branch_limit=reference_limit, sink=reference)
+    witness, stats = standard_alon_tarsi(p, ordering)
+    assert witness == reference.witness
+    assert witness is not None
+    if family == ("grid-diag", 4):
+        # 735,842 monomials when it split only past the branch limit
+        assert stats.total_monomials < 10**5
+
+
+def test_the_witness_search_splits_at_the_smaller_limit():
+    p = generate_family("grid-diag", 4)
+    ordering = order_vertices(p, DEFAULT_HEURISTIC)
+    for given, used in ((DEFAULT_BRANCH_LIMIT, WITNESS_SPLIT), (10**4, WITNESS_SPLIT), (1000, 1000)):
+        sink = decide_module._FirstTermSink()
+        _, expected = run_truncated_product(p, ordering, branch_limit=used, sink=sink)
+        assert standard_alon_tarsi(p, ordering, branch_limit=given) == (sink.witness, expected)
+
+
+def test_the_extended_stage_keeps_the_branch_limit():
+    # its run goes to the end, so it splits only past the limit: at 4,096
+    # terms this one takes 14 branches
+    p = parse_problem((Path(__file__).parent / "tight-12.prob").read_text())
+    basis, stats = collect_constraints(p)
+    assert stats == RunStats(total_monomials=35128, peak_terms=6566, branches=1)
+    assert [(r.base, r.row) for r in basis.rows] == [
+        ((1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2), (0, 9, 9, 0, -12, 3, -6, 3, 0, -3, -6, 3)),
+        ((2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2), (0, -3, -9, 0, 3, -3, 6, 6, 0, 3, -3, 0)),
+        ((2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2), (-3, -6, 0, 3, 9, 0, 0, -9, 0, 0, 9, -3)),
+        ((2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2), (-6, 3, 0, 6, -9, -9, 0, 9, 0, 0, 0, 6)),
+        ((2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2), (9, 0, 3, -3, 0, 6, 3, -3, -6, -6, -3, 0)),
+        ((2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2), (-12, 0, 0, 3, 0, -9, -9, 0, 9, 9, 9, 0)),
+    ]
 
 
 def test_verdicts_do_not_depend_on_the_ordering_heuristic():
