@@ -23,7 +23,7 @@ import numpy as np
 
 from . import oracle
 from .graphs import DEFAULT_HEURISTIC, HEURISTICS, Problem, VertexOrdering
-from .graphs import blocks, order_vertices, product_estimate
+from .graphs import blocks, order_vertices
 from .poly import (
     DEFAULT_BRANCH_LIMIT,
     WITNESS_SPLIT,
@@ -468,9 +468,7 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
         return Verdict(UNKNOWN, reason="NoWitness" if standard else "NoConstraints",
                        details=details)
     ordering = order_vertices(p, settings.heuristic)
-    # AUTO's orderings keep the estimate it took, which is at least 1
-    estimate = ordering.estimate or product_estimate(p, ordering.order)
-    details["ordering"] = {"heuristic": ordering.heuristic, "estimate": estimate}
+    details["ordering"] = {"heuristic": ordering.heuristic, "estimate": ordering.estimate}
     try:
         if p.m <= room:
             witness, stats = standard_alon_tarsi(

@@ -65,8 +65,6 @@ class Problem:
         for v, sv in enumerate(self.s):
             if sv < 1:
                 raise ProblemFormatError("list size of vertex %d must be >= 1" % v)
-            if sv.bit_length() > 64:
-                raise ProblemFormatError("list size %d does not fit in a 64-bit field" % sv)
         norm = {}  # the normalized edges, in order
         for i, (u, v) in enumerate(self.edges):
             if type(u) is not int or type(v) is not int:
@@ -117,7 +115,8 @@ class Problem:
 @dataclass(frozen=True)
 class VertexOrdering:
     """Processing order: order[i] is the original index of the i-th vertex.
-    ``estimate`` is its ``product_estimate`` when AUTO took one."""
+    ``estimate`` is its ``product_estimate``, which ``order_vertices``
+    gives every ordering it returns; a hand-built ordering may leave it None."""
 
     order: tuple[int, ...]
     heuristic: str = "INPUT"
@@ -197,26 +196,19 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
     processed prefix after the pick, then smallest remaining degree.
     MDR is MD reversed.  All remaining ties pick the smallest original index.
 
-    AUTO keeps MD+PROC unless its ``product_estimate`` exceeds
-    ``AUTO_ESTIMATE_LIMIT`` and VSEP's does not; then it takes VSEP.  The
-    ordering names the rule used and keeps the estimate it was given.
+    AUTO keeps MD+PROC unless its estimate exceeds ``AUTO_ESTIMATE_LIMIT``
+    and VSEP's does not; then it takes VSEP, and names the rule it used.
+    Every ordering returned carries its ``product_estimate``, taken once.
     """
     if heuristic not in HEURISTICS:
         raise ValueError("unknown heuristic %r" % heuristic)
     if heuristic == "AUTO":
         chosen = order_vertices(p, "MD+PROC")
-        estimate = product_estimate(p, chosen.order)
-        if estimate > AUTO_ESTIMATE_LIMIT:
+        if chosen.estimate > AUTO_ESTIMATE_LIMIT:
             vsep = order_vertices(p, "VSEP")
-            vsep_estimate = product_estimate(p, vsep.order)
-            if vsep_estimate <= AUTO_ESTIMATE_LIMIT:
-                chosen, estimate = vsep, vsep_estimate
-        return VertexOrdering(chosen.order, chosen.heuristic, estimate)
-    if heuristic == "INPUT":
-        return VertexOrdering(tuple(range(p.n)), heuristic)
-    if heuristic == "MDR":
-        inner = order_vertices(p, "MD")
-        return VertexOrdering(tuple(reversed(inner.order)), heuristic)
+            if vsep.estimate <= AUTO_ESTIMATE_LIMIT:
+                chosen = vsep
+        return chosen
 
     adj = p.adjacency()
     remaining = set(range(p.n))
@@ -226,6 +218,7 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
     marked = set()  # remaining vertices with a processed neighbor
     order = []
     keys = {
+        "INPUT": lambda v: v,
         "MD": lambda v: (rem[v], v),
         "MD+PROC": lambda v: (rem[v], -proc[v], v),
         "OVER": lambda v: (rem[v] - proc[v], v),
@@ -233,7 +226,7 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
         "LIST+DEG": lambda v: (p.s[v] + rem[v], v),
         "VSEP": lambda v: (len(marked) - (v in marked) + fresh[v], rem[v], v),
     }
-    key = keys[heuristic]
+    key = keys["MD" if heuristic == "MDR" else heuristic]
 
     for _ in range(p.n):
         v = min(remaining, key=key)
@@ -251,7 +244,10 @@ def order_vertices(p: Problem, heuristic: str = DEFAULT_HEURISTIC) -> VertexOrde
                 marked.add(u)
                 for w in adj[u]:
                     fresh[w] -= 1
-    return VertexOrdering(tuple(order), heuristic)
+    if heuristic == "MDR":
+        order.reverse()
+    order = tuple(order)
+    return VertexOrdering(order, heuristic, product_estimate(p, order))
 
 
 def product_estimate(p: Problem, order) -> int:

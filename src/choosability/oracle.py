@@ -6,8 +6,10 @@ choosability from exhaustive enumeration of list assignments up to color
 renaming.  Intended for small instances and for validating the fast path.
 
 Its enumeration, ``walk_patterns``, is also the pipeline's pattern
-search; the tests check it against independent reference searches.  The
-oracle still reads no coefficient, constraint row or feasible vector.
+search, and ``pattern_colorer`` its coloring search; the tests check both
+against independent reference searches.  Only ``color_from_pattern``, the
+certificate checker, trims huge multiplicities.  The oracle still reads
+no coefficient, constraint row or feasible vector.
 """
 
 from __future__ import annotations
@@ -169,42 +171,47 @@ def color_from_pattern(p: Problem, pattern):
     The pattern is a sequence of (0/1 tuple, multiplicity) pairs; it
     yields one abstract color per unit of multiplicity, present on vertex
     v when vector[v] is 1.  Returns a per-vertex color index list or None.
+    As the certificate checker it takes any multiplicity.  A vertex with
+    more colors than neighbours can always be colored last, so a vector's
+    units past one more than the largest degree on its support are left
+    out before ``pattern_colorer`` colors, and the colors mapped back:
+    that keeps the answer, and a huge multiplicity costs no more than a
+    small one.
     """
-    return pattern_colorer(p)(pattern)
+    degrees = p.degrees()
+    trimmed, units = [], []  # units: the pattern's index of each color kept
+    t = 0
+    for vec, mult in pattern:
+        kept = min(int(mult), 1 + max((degrees[v] for v in range(p.n) if vec[v]), default=-1))
+        trimmed.append((vec, kept))
+        units.extend(range(t, t + kept))
+        t += int(mult)
+    coloring = pattern_colorer(p)(trimmed)
+    return None if coloring is None else [units[c] for c in coloring]
 
 
 def pattern_colorer(p: Problem):
-    """``color_from_pattern`` on p as a function of the pattern alone.
-    p's adjacency and degrees are built once, and each vector's support
-    the first time a pattern holds it.
-
-    A vertex with more colors than neighbours can always be colored last,
-    so the search leaves out a vector's units past one more than the
-    largest degree on its support: that keeps the answer, and a huge
-    multiplicity costs no more than a small one.
-    """
-    n, adj, degrees = p.n, p.adjacency(), p.degrees()
-    shapes = {}  # vector -> (support, units worth keeping)
+    """A function that colors p from a pattern's lists, as
+    ``color_from_pattern`` does, but with the multiplicities as given:
+    the color index list, or None.  p's adjacency is built once, and each
+    vector's support the first time a pattern holds it.  The pipeline and
+    ``brute_force_choosable`` color through it: their multiplicities are
+    list sizes, at most deg(v) after R1 or small by the oracle's limits."""
+    n, adj = p.n, p.adjacency()
+    supports = {}  # the vertices of each vector, built when first met
 
     def color(pattern):
         lists = [0] * n
-        units = []  # the pattern's index of each color the search sees
         t = 0
         for vec, mult in pattern:
-            shape = shapes.get(vec)
-            if shape is None:
-                support = [v for v in range(n) if vec[v]]
-                most = 1 + max((degrees[v] for v in support), default=-1)
-                shape = shapes[vec] = (support, most)
-            support, most = shape
-            kept = min(int(mult), most)
-            bits = ((1 << kept) - 1) << len(units)
-            for v in support:
-                lists[v] |= bits
-            units.extend(range(t, t + kept))
-            t += int(mult)
-        coloring = _color_lists(n, adj, lists)
-        return None if coloring is None else [units[c] for c in coloring]
+            sup = supports.get(vec)
+            if sup is None:
+                sup = supports[vec] = [v for v, x in enumerate(vec) if x]
+            colors = ((1 << mult) - 1) << t
+            for v in sup:
+                lists[v] |= colors
+            t += mult
+        return _color_lists(n, adj, lists)
 
     return color
 
@@ -371,21 +378,6 @@ def brute_force_choosable(
         raise OracleLimitError("too many vertices for brute force")
     if sum(p.s) > max_total:
         raise OracleLimitError("total list size too large for brute force")
-    n, adj = p.n, p.adjacency()
-    supports = {}  # the vertices of each vector, built when first met
-
-    def uncolorable(pattern) -> bool:
-        lists = [0] * n
-        t = 0
-        for vec, mult in pattern:
-            colors = ((1 << mult) - 1) << t
-            sup = supports.get(vec)
-            if sup is None:
-                sup = supports[vec] = [v for v, x in enumerate(vec) if x]
-            for v in sup:
-                lists[v] |= colors
-            t += mult
-        return _color_lists(n, adj, lists) is None
-
-    witness = walk_patterns(np.arange(1 << n), p.s, uncolorable, max_nodes)
+    color = pattern_colorer(p)
+    witness = walk_patterns(np.arange(1 << p.n), p.s, lambda pat: color(pat) is None, max_nodes)
     return (True, None) if witness is None else (False, witness)

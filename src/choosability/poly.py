@@ -6,7 +6,7 @@ digit per processing position, most significant first, so that comparing
 the word sequences big-endian equals comparing the degree vectors
 lexicographically in processing order (``DegreeLayout``).  Extended runs
 add one lowest digit for an optional tight marker: code 0 means no
-marker, code i+1 means the vertex at processing position i.  A marked term
+marker, code v+1 means vertex v, whatever its position.  A marked term
 with packed degrees f' stands for the monomial x^(f' + 1_v) where v is the
 marked vertex and f'(v) = s(v) - 1; an unmarked term stands for x^f'.
 Standard runs never set a marker, so their layout has no marker digit.
@@ -59,9 +59,11 @@ class DegreeLayout:
     after a digit in its word, stays below 2^64.  The radices are powers of
     two, at or above s(v) and n + 1, unless the exact values take fewer
     words: a power-of-two span reduces with a mask, any other with a
-    division.  A degree digit never exceeds s(v) - 1.  ``place[v]`` is
-    vertex v's (word, weight, span), span = weight * radix; ``marker`` is
-    the marker's, weight 1; ``code[v]`` is v's marker code, position + 1.
+    division.  A degree digit never exceeds s(v) - 1, and a radix above
+    2^64, a list size past 2^64, is refused: it is the one limit the format
+    sets on a problem.  ``place[v]`` is vertex v's (word, weight, span),
+    span = weight * radix; ``marker`` is the marker's, weight 1, and a term
+    marked at vertex v holds v + 1 in it.
     """
 
     def __init__(self, problem: Problem, ordering: VertexOrdering, marked: bool = True):
@@ -70,15 +72,15 @@ class DegreeLayout:
         self.problem = problem
         self.ordering = ordering
         exact = [problem.s[v] for v in ordering.order] + [problem.n + 1] * marked
+        if max(exact) > 2**64:
+            raise ValueError("list size %d does not fit in a 64-bit field" % max(problem.s))
         # on equal word counts min keeps the first, the powers of two
         digits = min(_place([1 << (r - 1).bit_length() for r in exact]), _place(exact),
                      key=lambda places: places[-1][0])
         self.words = digits[-1][0] + 1
         self.marker = digits[-1] if marked else None
-        self.code = [0] * problem.n
-        for i, v in enumerate(ordering.order):
-            self.code[v] = i + 1
-        self.place = [digits[c - 1] for c in self.code]
+        place = dict(zip(ordering.order, digits))
+        self.place = [place[v] for v in range(problem.n)]
 
 
 def _place(radices):
@@ -132,7 +134,7 @@ def emit_mark(keys, coeffs, layout, v, negate):
     take = np.flatnonzero(tight & (_low(keys[:, mword], mspan) == 0))
     out_k = keys[take]
     out_c = -coeffs[take] if negate else coeffs[take]
-    out_k[:, mword] += np.uint64(layout.code[v])
+    out_k[:, mword] += np.uint64(v + 1)
     return out_k, out_c
 
 
@@ -219,9 +221,7 @@ def unpack_terms(layout: DegreeLayout, terms: TermList):
         degrees[:, v] = _low(terms.keys[:, word], span) // np.uint64(weight)
     # without a marker digit, a digit of radix 1 reads 0 in every key
     mword, _, mspan = layout.marker or (0, 1, 1)
-    codes = _low(terms.keys[:, mword], mspan).astype(np.int64)
-    order = np.asarray(layout.ordering.order, dtype=np.int64)
-    markers = np.where(codes == 0, -1, order[np.maximum(codes - 1, 0)])
+    markers = _low(terms.keys[:, mword], mspan).astype(np.int64) - 1
     return degrees, markers, terms.coeffs.copy()
 
 

@@ -17,7 +17,7 @@ def pack(layout, f, marker=None) -> np.ndarray:
         word, weight, _ = layout.place[v]
         words[word] += fv * weight
     if marker is not None:
-        words[layout.marker[0]] += layout.code[marker]
+        words[layout.marker[0]] += marker + 1
     return np.array(words, dtype=np.uint64)
 
 

@@ -355,7 +355,7 @@ def test_bad_branch_limit_exits_3_where_the_reductions_decide(tmp_path, capsys):
     assert "error:" in err and "branch limit" in err
 
 
-@pytest.mark.parametrize("command", ["decide", "coefficients", "bench"])
+@pytest.mark.parametrize("command", ["coefficients", "bench"])
 def test_list_size_past_one_word_exits_3(monkeypatch, capsys, command):
     # 2^70 needs a 71-bit degree field, wider than a packed key word
     monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n%d 1\n0 1\n" % 2**70))
@@ -364,6 +364,15 @@ def test_list_size_past_one_word_exits_3(monkeypatch, capsys, command):
     assert out == ""
     assert err.startswith("error:") and "64-bit field" in err
     assert "Traceback" not in err
+
+
+def test_decide_settles_a_list_size_past_one_word(monkeypatch, capsys):
+    # R1 deletes the vertex with the 2^70 list before any product packs a key
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n%d 1\n0 1\n" % 2**70))
+    code, out, err = run_cli(capsys, ["decide", "-"])
+    assert (code, err) == (0, "")
+    assert "verdict: CHOOSABLE" in out
+    assert "decided_by=R1/R2" in out
 
 
 def test_usage_error_exits_3(capsys):

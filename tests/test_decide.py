@@ -828,6 +828,8 @@ def test_numpy_integer_limits_are_taken_as_ints():
     (("cycle-triangles", 8), "AUTO", 2),  # MD+PROC, then VSEP, which it takes
     (("grid-diag", 3), "AUTO", 1),
     (("grid-diag", 3), "VSEP", 1),
+    (("grid-diag", 3), "MDR", 1),  # MD's greedy order, reversed, not estimated
+    (("grid-diag", 3), "INPUT", 1),
 ])
 def test_each_ordering_is_estimated_once(monkeypatch, family, heuristic, calls):
     estimate = graphs.product_estimate
@@ -838,7 +840,6 @@ def test_each_ordering_is_estimated_once(monkeypatch, family, heuristic, calls):
         return estimate(p, order)
 
     monkeypatch.setattr(graphs, "product_estimate", counted)
-    monkeypatch.setattr(decide_module, "product_estimate", counted)
     verdict = pipeline_decide(generate_family(*family), heuristic=heuristic, mode="standard")
     assert len(seen) == calls
     assert verdict.details["ordering"]["estimate"] == estimate(generate_family(*family), seen[-1])

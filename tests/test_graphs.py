@@ -58,7 +58,6 @@ def test_parse_skips_comments_and_blank_lines():
         ("2 2\n1 1\n0 1\n1 0\n", "line 4"),
         ("3 2\n1 1 1\n0 1\n1 3\n", "line 4"),
         ("2 1\n1 0\n0 1\n", "line 2: list size"),
-        ("2 1\n%d 1\n0 1\n" % 2**64, "line 2: list size"),
         ("2 1\n# sizes\n1 0\n0 1\n", "line 3: list size"),
     ],
 )
@@ -216,6 +215,14 @@ def test_auto_names_the_heuristic_it_used(family, params, used):
     assert ordering.heuristic == used
 
 
+@pytest.mark.parametrize("family", [("grid-diag", 3), ("cycle-triangles", 8)])
+def test_every_ordering_carries_its_estimate(family):
+    p = generate_family(*family)
+    for heuristic in HEURISTICS:
+        ordering = order_vertices(p, heuristic)
+        assert ordering.estimate == product_estimate(p, ordering.order), heuristic
+
+
 def test_auto_weighs_md_proc_against_vsep_only(monkeypatch):
     estimated = []
 
@@ -223,10 +230,11 @@ def test_auto_weighs_md_proc_against_vsep_only(monkeypatch):
         estimated.append(order)
         return product_estimate(p, order)
 
-    monkeypatch.setattr(graphs, "product_estimate", counted)
     p = generate_family("cycle-triangles", 8)
+    expected = [order_vertices(p, h).order for h in ("MD+PROC", "VSEP")]
+    monkeypatch.setattr(graphs, "product_estimate", counted)
     assert order_vertices(p, "AUTO").heuristic == "VSEP"
-    assert estimated == [order_vertices(p, h).order for h in ("MD+PROC", "VSEP")]
+    assert estimated == expected
 
 
 @pytest.mark.parametrize("limit", [1000, 2000])

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,12 @@ from choosability import (
     color_from_pattern,
     direct_coefficient,
 )
+from choosability import oracle, parse_problem, pipeline_decide
 from choosability.oracle import orientable_within_budget
 
 from _examples import (
     agreement_corpus,
+    coefficient_corpus,
     complete,
     cycle,
     fan,
@@ -215,6 +218,43 @@ def test_color_from_pattern_takes_huge_multiplicities():
     assert coloring[1] == coloring[2] == 0 and 1 <= coloring[0] <= 9
     # the units kept are one more than the largest degree on the support
     assert color_from_pattern(complete(3), [((1, 1, 1), 2**40)]) is not None
+
+
+def test_the_colorer_agrees_with_the_certificate_checker(monkeypatch):
+    # the patterns the pipeline walks on both corpora (the agreement
+    # corpus's reach no pattern search) and on tight-12's 1,528, and brute
+    # force on 20 problems, as they color them and as a certificate checks
+    walked = {"pipeline": [], "brute": []}
+    colorer = oracle.pattern_colorer
+
+    def recording(p):
+        color = colorer(p)
+
+        def record(pattern):
+            coloring = color(pattern)
+            walked[caller].append((p, pattern, coloring))
+            return coloring
+
+        return record
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "pattern_colorer", recording)
+        caller = "pipeline"
+        for p in agreement_corpus() + coefficient_corpus():
+            pipeline_decide(p)
+        tight = parse_problem((Path(__file__).parent / "tight-12.prob").read_text())
+        pipeline_decide(tight, pattern_cap=1528)
+        caller = "brute"
+        for p in agreement_corpus()[:20]:
+            brute_force_choosable(p)
+    assert len(walked["pipeline"]) > 1528 and len(walked["brute"]) > 10**4
+    trimmed = 0
+    for p, pattern, coloring in walked["pipeline"] + walked["brute"]:
+        assert coloring == color_from_pattern(p, pattern), (p, pattern)
+        degrees = p.degrees()
+        trimmed += any(mult > 1 + max(degrees[v] for v in range(p.n) if vec[v])
+                       for vec, mult in pattern)
+    assert trimmed > 1000  # brute force meets lists longer than the degree
 
 
 def test_brute_force_refuses_large_inputs():

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from choosability import (
     decide,
     direct_coefficient,
     order_vertices,
+    parse_problem,
     pipeline_decide,
     poly,
 )
@@ -99,14 +101,15 @@ def test_pack_rejects_out_of_range():
 
 
 def test_layout_rejects_fields_wider_than_a_word():
-    widest = Problem(n=2, s=(2**64 - 1, 1), edges=((0, 1),))
+    widest = Problem(n=2, s=(2**64, 1), edges=((0, 1),))
     layout = DegreeLayout(widest, order_vertices(widest, "INPUT"))
     assert layout.place[0] == (0, 1, 2**64)
-    assert unpack(layout, pack(layout, (2**64 - 2, 0))) == (2**64 - 2, 0)
-    # a wider list is refused when the problem is built, so no layout,
-    # and no reduction that would delete the vertex, ever sees it
+    assert unpack(layout, pack(layout, (2**64 - 1, 0))) == (2**64 - 1, 0)
+    # a wider list is a valid problem, which R1 may reduce away; only the
+    # layout, which would need a radix past 2^64, refuses it
+    wider = Problem(n=2, s=(2**64 + 1, 1), edges=((0, 1),))
     with pytest.raises(ValueError, match="64-bit field"):
-        Problem(n=2, s=(2**64, 1), edges=((0, 1),))
+        DegreeLayout(wider, VertexOrdering(order=(0, 1)))
 
 
 def test_layout_spans_multiple_words():
@@ -411,6 +414,20 @@ def test_edge_order_does_not_change_the_product():
                 reference = result
             else:
                 assert result == reference
+
+
+def test_marker_codes_name_the_vertex_under_any_ordering():
+    # a marker holds its vertex's code, not its position's, and decodes to
+    # the same vertex whichever ordering packed it
+    p = parse_problem((Path(__file__).parent / "tight-12.prob").read_text())
+    assert order_vertices(p, "INPUT").order != order_vertices(p, "VSEP").order
+    finals = {}
+    for heuristic in ("INPUT", "VSEP"):
+        sink, outcome, _ = collect(p, "extended", poly.DEFAULT_BRANCH_LIMIT, heuristic)
+        assert outcome == "completed"
+        finals[heuristic] = Counter(sink.terms)
+    assert finals["INPUT"] == finals["VSEP"]
+    assert sum(marker is not None for _, marker, _ in finals["INPUT"]) == 88
 
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])
