@@ -28,7 +28,6 @@ from .poly import (
     DEFAULT_BRANCH_LIMIT,
     WITNESS_SPLIT,
     CoefficientOverflow,
-    TermList,
     check_limit,
     run_truncated_product,
     unpack_terms,
@@ -187,9 +186,9 @@ class _FirstTermSink:
         self.witness = None
 
     def __call__(self, layout, terms):
-        last = TermList(terms.keys[-1:], terms.coeffs[-1:])
-        degrees, _, coeffs = unpack_terms(layout, last)
-        self.witness = (tuple(int(x) for x in degrees[0]), int(coeffs[0]))
+        key = terms.keys[-1].tolist()
+        f = tuple(key[word] % span // weight for word, weight, span in layout.place)
+        self.witness = (f, int(terms.coeffs[-1]))
         return True
 
 

@@ -23,12 +23,12 @@ adjacent prefixes until it holds at least 2, 4, 8, ... terms, capped at the
 branch limit, so a list of thousands of tiny prefixes makes a few dozen
 parts.
 
-Kernels: ``emit_bump`` and ``emit_mark`` select, then raise or mark, one
-vertex's digit in a term array pair (``keys`` as above, int64 ``coeffs``);
-``merge2`` merges two sorted pairs.  Selections use np.flatnonzero: a
-gather by index is several times faster than a boolean mask on millions
-of terms.  A sum past int64, or at INT64_MIN (whose negation wraps), sets
-a flag in ``merge2``; the edge products, which know the edge, raise on it.
+Kernels: an edge product selects, per endpoint, the terms whose digit
+it raises or marks, gathers them by index in one pass, and ``merge2``
+sorts them once, combines equal keys and drops zeros.  ``TermList.bound``
+caps |coefficient| and doubles per edge; only when twice the bound,
+refreshed from the terms, could leave int64 does ``merge2`` test the
+sums, and the edge product raises ``CoefficientOverflow`` on its flag.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import numpy as np
 from .graphs import Problem, VertexOrdering
 
 INT64_MIN = np.iinfo(np.int64).min
+INT64_MAX = np.iinfo(np.int64).max
 
 
 class CoefficientOverflow(ArithmeticError):
@@ -81,6 +82,14 @@ class DegreeLayout:
         self.marker = digits[-1] if marked else None
         place = dict(zip(ordering.order, digits))
         self.place = [place[v] for v in range(problem.n)]
+        # for the edge products, per vertex: (word, mask, span) as ``_low``
+        # takes them, the least bumped-out digit (s(v) - 1) * weight, the
+        # weight and the marker code v + 1, all ``_uint64``; then the marker's
+        self.select = [
+            (w, *_reduce(span), *_uint64((s - 1) * weight, weight, v + 1))
+            for v, ((w, weight, span), s) in enumerate(zip(self.place, problem.s))
+        ]
+        self.marker_low = self.marker and (self.marker[0], *_reduce(self.marker[2]))
 
 
 def _place(radices):
@@ -103,109 +112,87 @@ def _place(radices):
     return places
 
 
-def _low(col, span):
-    """col % span on uint64 keys: numpy's % is several times slower than & or //."""
-    if span & (span - 1) == 0:
-        return col & np.uint64(span - 1)
-    span = np.uint64(span)
-    return col - col // span * span
+def _uint64(*values):
+    """0-d uint64 arrays: numpy combines them with arrays faster than scalars."""
+    return [np.array(x, np.uint64) for x in values]
 
 
-def emit_bump(keys, coeffs, layout, v, negate):
-    """Terms whose degree at vertex v is at most s(v) - 2, with that degree
-    raised by one; coefficients negated when ``negate`` is set."""
-    word, weight, span = layout.place[v]
-    limit = np.uint64((layout.problem.s[v] - 1) * weight)
-    take = np.flatnonzero(_low(keys[:, word], span) < limit)
-    out_k = keys[take]
-    out_c = -coeffs[take] if negate else coeffs[take]
-    out_k[:, word] += np.uint64(weight)
-    return out_k, out_c
+def _reduce(span):
+    """(mask, None) for a power-of-two span, else (None, span), as uint64."""
+    return (*_uint64(span - 1), None) if span & (span - 1) == 0 else (None, *_uint64(span))
 
 
-def emit_mark(keys, coeffs, layout, v, negate):
-    """Unmarked terms whose degree at vertex v is s(v) - 1, marked at v;
-    coefficients negated when ``negate`` is set."""
-    if layout.marker is None:
-        raise ValueError("layout has no marker field")
-    word, weight, span = layout.place[v]
-    mword, _, mspan = layout.marker
-    tight = _low(keys[:, word], span) >= np.uint64((layout.problem.s[v] - 1) * weight)
-    take = np.flatnonzero(tight & (_low(keys[:, mword], mspan) == 0))
-    out_k = keys[take]
-    out_c = -coeffs[take] if negate else coeffs[take]
-    out_k[:, mword] += np.uint64(v + 1)
-    return out_k, out_c
+def _low(col, mask, span):
+    """col % span on uint64 keys, by ``mask`` = span - 1 when ``span`` is
+    None: numpy's % is several times slower than & or //."""
+    return col & mask if span is None else col - col // span * span
 
 
-def merge2(keys_a, coeffs_a, keys_b, coeffs_b):
-    """Merge two strictly increasing term arrays, combining equal keys.
+def _largest(coeffs) -> int:
+    """The largest |coefficient|, 0 for none."""
+    return max(int(coeffs.max()), -int(coeffs.min())) if len(coeffs) else 0
 
-    Returns (keys, coeffs, overflow_flag); zero coefficients are dropped.
+
+def merge2(keys, coeffs, exact):
+    """Sort a term array made of strictly increasing runs whose equal keys
+    come at most in pairs, combine the pairs and drop zeros.  Keys are one
+    column for a one-word layout.  Returns (keys, coeffs, overflow); only
+    when ``exact`` is set are the sums tested, and overflow says that one
+    left int64 or is INT64_MIN, whose negation wraps.
     """
-    if len(coeffs_a) == 0:
-        return keys_b.copy(), coeffs_b.copy(), False
-    if len(coeffs_b) == 0:
-        return keys_a.copy(), coeffs_a.copy(), False
-    width = keys_a.shape[1]
-    if width == 1:
-        # timsort finds the two sorted runs and merges them in linear time
-        keys = np.concatenate((keys_a[:, 0], keys_b[:, 0]))
-        order = np.argsort(keys, kind="stable")
+    if keys.ndim == 1:
+        # timsort finds the sorted runs and merges them in linear time
+        order = keys.argsort(kind="stable")
         keys = keys[order]
         same = keys[1:] == keys[:-1]
     else:
-        keys = np.vstack((keys_a, keys_b))
         # big-endian words viewed as one opaque field compare bytewise, as
-        # the word sequences do, so timsort merges the two runs
-        fields = keys.astype(">u8").view(np.dtype((np.void, 8 * width)))[:, 0]
-        order = np.argsort(fields, kind="stable")
+        # the word sequences do, so timsort merges the runs
+        fields = keys.astype(">u8").view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
+        order = fields.argsort(kind="stable")
         del fields  # lowers the peak memory of the largest merges
-        keys = keys[order]
+        keys = keys.take(order, axis=0)  # several times faster than keys[order]
         same = keys[1:, 0] == keys[:-1, 0]
-        for w in range(1, width):
+        for w in range(1, keys.shape[1]):
             same &= keys[1:, w] == keys[:-1, w]
-    coeffs = np.concatenate((coeffs_a, coeffs_b))[order]
+    coeffs = coeffs[order]
     del order  # lowers the peak memory of the largest merges
+    head = same.nonzero()[0]
     overflow = False
-    # inputs have unique keys, so equal-key runs have length at most 2
-    if same.any():
-        head = np.flatnonzero(same)
-        tail = head + 1
-        a = coeffs[head]
-        b = coeffs[tail]
-        total = a + b
+    if len(head):
+        second = head + 1
+        a, b = coeffs[head], coeffs[second]
+        coeffs[head] = total = a + b
         # a sum wrapped exactly when its sign differs from both addends'
-        if np.any(((a ^ total) & (b ^ total)) < 0) or np.any(total == INT64_MIN):
-            overflow = True
-        coeffs[head] = total
-        # the second of each pair is now counted in the first: drop it
-        # with the zeros
-        coeffs[tail] = 0
-    nonzero = coeffs != 0
-    if not nonzero.all():
-        nonzero = np.flatnonzero(nonzero)
-        keys = keys[nonzero]
-        coeffs = coeffs[nonzero]
-    return keys.reshape(-1, width), coeffs, overflow
+        overflow = exact and bool((((a ^ total) & (b ^ total)) < 0).any())
+        # the second of each pair is counted in the first: drop it with the zeros
+        coeffs[second] = 0
+        keep = coeffs.nonzero()[0]
+        keys = keys[keep] if keys.ndim == 1 else keys.take(keep, axis=0)
+        coeffs = coeffs[keep]
+    return keys, coeffs, overflow or (exact and bool((coeffs == INT64_MIN).any()))
 
 
 @dataclass
 class TermList:
-    """Strictly sorted term array: packed keys plus nonzero coefficients."""
+    """Strictly sorted term array: packed keys plus nonzero coefficients
+    above INT64_MIN, and ``bound`` >= every |coefficient|, taken from them
+    when not given."""
 
     keys: np.ndarray
     coeffs: np.ndarray
+    bound: int | None = None
+
+    def __post_init__(self):
+        if self.bound is None:
+            self.bound = _largest(self.coeffs)
 
     def __len__(self):
         return len(self.coeffs)
 
     @classmethod
     def unit(cls, layout: DegreeLayout) -> "TermList":
-        return cls(
-            np.zeros((1, layout.words), dtype=np.uint64),
-            np.ones(1, dtype=np.int64),
-        )
+        return cls(np.zeros((1, layout.words), dtype=np.uint64), np.ones(1, dtype=np.int64), 1)
 
 
 def unpack_terms(layout: DegreeLayout, terms: TermList):
@@ -217,11 +204,11 @@ def unpack_terms(layout: DegreeLayout, terms: TermList):
     n = layout.problem.n
     count = len(terms)
     degrees = np.empty((count, n), dtype=np.int64)
-    for v, (word, weight, span) in enumerate(layout.place):
-        degrees[:, v] = _low(terms.keys[:, word], span) // np.uint64(weight)
-    # without a marker digit, a digit of radix 1 reads 0 in every key
-    mword, _, mspan = layout.marker or (0, 1, 1)
-    markers = _low(terms.keys[:, mword], mspan).astype(np.int64) - 1
+    for v, (word, mask, span, _, weight, _) in enumerate(layout.select):
+        degrees[:, v] = _low(terms.keys[:, word], mask, span) // weight
+    # without a marker digit, a zero mask reads 0 in every key
+    mword, mmask, mspan = layout.marker_low or (0, *_uint64(0), None)
+    markers = _low(terms.keys[:, mword], mmask, mspan).astype(np.int64) - 1
     return degrees, markers, terms.coeffs.copy()
 
 
@@ -235,13 +222,7 @@ def iter_terms(layout: DegreeLayout, terms: TermList):
 
 def multiply_edge_standard(terms: TermList, u: int, v: int, layout: DegreeLayout) -> TermList:
     """Truncated product with (x_head - x_tail) for the edge {u, v}."""
-    tail, head = (u, v) if u < v else (v, u)
-    hk, hc = emit_bump(terms.keys, terms.coeffs, layout, head, False)
-    tk, tc = emit_bump(terms.keys, terms.coeffs, layout, tail, True)
-    keys, coeffs, overflow = merge2(hk, hc, tk, tc)
-    if overflow:
-        raise CoefficientOverflow("edge {%d,%d}" % (u, v))
-    return TermList(keys, coeffs)
+    return _multiply_edge(terms, u, v, layout, False)
 
 
 def multiply_edge_extended(terms: TermList, u: int, v: int, layout: DegreeLayout) -> TermList:
@@ -249,17 +230,47 @@ def multiply_edge_extended(terms: TermList, u: int, v: int, layout: DegreeLayout
     unmarked term becomes a tight marker instead of being dropped; terms
     that would acquire a second tight coordinate are dropped.  Raises
     ValueError on a layout without a marker digit."""
+    if layout.marker is None:
+        raise ValueError("layout has no marker field")
+    return _multiply_edge(terms, u, v, layout, True)
+
+
+def _multiply_edge(terms, u, v, layout, extended):
+    """One selection pass per endpoint, one gather and one merge.  A term
+    marked at an endpoint has digit s - 1 there and is never bumped at it,
+    so an endpoint's bump and mark runs share no key: equal keys come in
+    pairs.  Sums are tested only when ``terms.bound``, refreshed, allows
+    one past int64."""
     tail, head = (u, v) if u < v else (v, u)
-    ak, ac = emit_bump(terms.keys, terms.coeffs, layout, head, False)
-    bk, bc = emit_mark(terms.keys, terms.coeffs, layout, head, False)
-    ck, cc = emit_bump(terms.keys, terms.coeffs, layout, tail, True)
-    dk, dc = emit_mark(terms.keys, terms.coeffs, layout, tail, True)
-    hk, hc, over1 = merge2(ak, ac, bk, bc)
-    tk, tc, over2 = merge2(ck, cc, dk, dc)
-    keys, coeffs, over3 = merge2(hk, hc, tk, tc)
-    if over1 or over2 or over3:
+    # a one-word layout works on the key column: a 1-D gather is faster
+    one = layout.words == 1
+    keys = terms.keys[:, 0] if one else terms.keys
+    if extended:
+        mword, mmask, mspan = layout.marker_low
+        free = _low(keys if one else keys[:, mword], mmask, mspan) == 0
+    runs = []  # (indices, word, step) per run, the head's first
+    for w in (head, tail):
+        word, mask, span, limit, weight, code = layout.select[w]
+        digit = _low(keys if one else keys[:, word], mask, span)
+        runs.append(((digit < limit).nonzero()[0], word, weight))
+        if extended:
+            runs.append((((digit >= limit) & free).nonzero()[0], mword, code))
+    take = np.concatenate([run for run, _, _ in runs])
+    keys = keys[take] if one else keys.take(take, axis=0)
+    coeffs = terms.coeffs[take]
+    start = 0
+    for i, (run, word, step) in enumerate(runs):
+        if 2 * i == len(runs):
+            tail_coeffs = coeffs[start:]
+            np.negative(tail_coeffs, out=tail_coeffs)
+        (keys if one else keys[:, word])[start:start + len(run)] += step
+        start += len(run)
+    del runs, take, digit  # lowers the peak memory of the largest merges
+    bound = terms.bound if 2 * terms.bound <= INT64_MAX else _largest(terms.coeffs)
+    keys, coeffs, overflow = merge2(keys, coeffs, 2 * bound > INT64_MAX)
+    if overflow:
         raise CoefficientOverflow("edge {%d,%d}" % (u, v))
-    return TermList(keys, coeffs)
+    return TermList(keys.reshape(len(coeffs), layout.words), coeffs, 2 * bound)
 
 
 @dataclass
@@ -283,9 +294,9 @@ OUTCOME_ABORTED = "aborted"
 DEFAULT_BRANCH_LIMIT = 100000
 # The witness search (``decide.standard_alon_tarsi``) splits past this many
 # terms when the branch limit is larger: its first term ends the run, and a
-# small part reaches it sooner (grid-diag(4): 5 ms, not 28).  A search that
-# finds none pays for the parts; README gives the sweep from 1,024 to 8,192.
-WITNESS_SPLIT = 4096
+# small part reaches it sooner (grid-diag(4): 24,038 monomials, not 735,842).
+# A search that finds none pays for the parts; README gives the sweep.
+WITNESS_SPLIT = 2048
 
 
 def check_limit(value, name: str, none_ok: bool = False):
@@ -382,7 +393,7 @@ def run_truncated_product(
                     # the fewest whole prefixes ending at b that hold >= need terms
                     k = np.searchsorted(bounds, b - need, "right") - 1
                     a = int(bounds[max(k, 0)])
-                    parts.append((TermList(terms.keys[a:b], terms.coeffs[a:b]), i))
+                    parts.append((TermList(terms.keys[a:b], terms.coeffs[a:b], terms.bound), i))
                     b, need = a, min(2 * need, branch_limit)
                 stack += reversed(parts)
                 break
@@ -431,11 +442,11 @@ def _prune_unreachable(layout, terms, bound):
     frontier, most = bound
     total = np.zeros(len(terms), dtype=np.uint64)
     for v, c in frontier:
-        word, weight, span = layout.place[v]
-        digit = _low(terms.keys[:, word], span) // np.uint64(weight)
+        word, mask, span, _, weight, _ = layout.select[v]
+        digit = _low(terms.keys[:, word], mask, span) // weight
         total += np.maximum(digit, np.uint64(c), out=digit)
     keep = total <= most
     if keep.all():
         return terms
     keep = np.flatnonzero(keep)
-    return TermList(terms.keys[keep], terms.coeffs[keep])
+    return TermList(terms.keys.take(keep, axis=0), terms.coeffs[keep], terms.bound)
