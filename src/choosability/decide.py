@@ -43,8 +43,8 @@ UNKNOWN = "UNKNOWN"
 
 MODES = ("standard", "pipeline")
 DEFAULT_PATTERN_CAP = 100
-# The most vertices the feasible scan takes: its int64 subset sums over
-# 2^26 masks would need about 600 MB per row pass.
+# The most free entries (n - rank) the feasible scan takes; a pass of it
+# holds at most 2^25 uint32 sums, 128 MB.
 DEFAULT_FEASIBLE_CAP = 25
 
 
@@ -118,7 +118,8 @@ class ConstraintBasis:
         self.n = n
         self.rows: list[ConstraintRow] = []
         self.offered = 0
-        self._echelon: list[tuple[int, list[int]]] = []
+        self._pivots: list[int] = []
+        self._reduced = np.zeros((0, n), dtype=np.int64)
 
     @property
     def rank(self) -> int:
@@ -133,24 +134,24 @@ class ConstraintBasis:
     def extend(self, bases, rows) -> bool:
         """Offer the int64 rows in order, up to rank n; returns whether it
         got there.  All rows are reduced mod p at once; each one still
-        nonzero is made monic, joins the echelon and reduces the rest.
-        Residues stay below p < 2^31, so every product is exact in int64."""
-        todo = np.asarray(rows, dtype=np.int64) % P_FIELD
-        for pivot, evec in self._echelon:
+        nonzero is made monic and clears its pivot from the rest and from
+        the echelon.  Residues stay below p < 2^31, so every product is exact in int64."""
+        todo = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.n) % P_FIELD
+        for pivot, evec in zip(self._pivots, self._reduced):
             todo = _eliminate(todo, pivot, evec)
-        i = 0
+        work, i = np.concatenate((todo, self._reduced)), 0  # the rows offered, then the echelon
         while self.rank < self.n:
-            live = np.flatnonzero(todo[i:].any(axis=1))
+            live, columns = work[i : len(todo)].nonzero()  # row-major: the first live row first
             if not len(live):
                 self.offered += len(todo)
                 return False
-            i += int(live[0])
-            pivot = int(np.flatnonzero(todo[i])[0])
-            evec = todo[i] * pow(int(todo[i, pivot]), P_FIELD - 2, P_FIELD) % P_FIELD
-            self._echelon.append((pivot, evec.tolist()))
+            i, pivot = i + int(live[0]), int(columns[0])
+            evec = work[i] * pow(int(work[i, pivot]), -1, P_FIELD) % P_FIELD
+            work = np.concatenate((_eliminate(work, pivot, evec), evec[None]))
+            self._pivots.append(pivot)
+            self._reduced = work[len(todo) :]
             self.rows.append(ConstraintRow(tuple(map(int, bases[i])), tuple(map(int, rows[i]))))
             i += 1
-            todo[i:] = _eliminate(todo[i:], pivot, evec)
         self.offered += i
         return True
 
@@ -163,7 +164,7 @@ class ConstraintBasis:
 
 def _eliminate(vecs, pivot, evec):
     """Clear column ``pivot`` of the residues ``vecs`` with a monic row."""
-    return (vecs - vecs[:, pivot, None] * np.asarray(evec)) % P_FIELD
+    return (vecs - vecs[:, pivot, None] * evec) % P_FIELD
 
 
 @dataclass(frozen=True)
@@ -256,11 +257,13 @@ def collect_constraints(
     return sink.basis, stats
 
 
-def subset_sums(values):
-    """The sum of values[j] over the bits j of each mask, indexed by mask."""
-    sums = np.zeros(1 << len(values), dtype=values.dtype)
-    for j, value in enumerate(values):
-        np.add(sums[: 1 << j], value, out=sums[1 << j : 2 << j])
+def subset_sums(residues):
+    """Sums mod p of residues[..., j] over the bits j of each mask, by mask on the last axis."""
+    sums = np.zeros(residues.shape[:-1] + (1 << residues.shape[-1],), dtype=np.uint32)
+    for j in range(residues.shape[-1]):
+        block = sums[..., 1 << j : 2 << j]
+        np.add(sums[..., : 1 << j], residues[..., j : j + 1], out=block)  # below 2p < 2^32
+        np.minimum(block, block - P_FIELD, out=block)  # block - p wraps past block if below p
     return sums
 
 
@@ -268,34 +271,43 @@ def enumerate_feasible_vectors(
     basis: ConstraintBasis, n: int, cap: int = DEFAULT_FEASIBLE_CAP
 ):
     """All chi in {0,1}^n satisfying every retained row exactly, as the
-    int64 array of their masks (bit v set when chi(v) = 1), ascending.
-
-    Each row's subset sums over all 2^n masks are taken modulo the first
-    of ``SCAN_PRIMES`` whose product exceeds the sum of its absolute
-    values; a sum that vanishes modulo each is zero.  Residues are below
-    2^31, so the sums are exact in int64.  Raises FeasibleSearchTooLarge
-    when n exceeds the cap, the 2^n arrays cannot be allocated, or the
-    primes do not cover a row (no int64 row while 2^n masks fit).
-    """
-    if n > cap:
-        raise FeasibleSearchTooLarge("n=%d exceeds the cap %d" % (n, cap))
+    int64 array of their masks (bit v set when chi(v) = 1), ascending: the
+    free entries' assignments in the rows' reduced echelon form mod p that
+    make every pivot 0 or 1, by subset sums, at most 2^cap to a pass, then
+    modulo further ``SCAN_PRIMES`` for a row whose absolute values sum to p
+    or more.  Raises FeasibleSearchTooLarge past 63 vertices or cap free
+    entries, or when the sums cannot be allocated or the primes do not cover a row."""
+    (echelon := ConstraintBasis(n)).extend(
+        [cr.base for cr in basis.rows], [[x % P_FIELD for x in cr.row] for cr in basis.rows])
+    free = sorted(set(range(n)).difference(echelon._pivots))
+    if n > 63 or len(free) > cap:
+        raise FeasibleSearchTooLarge("n=%d, %d free entries, cap %d" % (n, len(free), cap))
+    step = max(1, (1 << cap) >> len(free))
+    passes = [slice(i, i + step) for i in range(0, echelon.rank, step)]
+    residues = (-echelon._reduced[:, free] % P_FIELD).astype(np.uint32)  # sum to chi(pivot) mod p
     try:
-        keep = np.ones(1 << n, dtype=bool)
+        keep = np.ones(1 << len(free), dtype=bool)
+        for part in passes:
+            keep &= ((values := subset_sums(residues[part])) <= 1).all(axis=0)
+        found = np.flatnonzero(keep)
+        bits = sum(np.left_shift((values if part is passes[-1] else subset_sums(residues[part]))[
+            :, found], np.array(echelon._pivots)[part, None]).sum(axis=0) for part in passes)
+        for pivot in sorted(echelon._pivots):  # spread the free entries to their vertices
+            found += found >> pivot << pivot
+        found += bits
+        found.sort(kind="stable")  # in place; a stable sort takes each sorted run whole
         for cr in basis.rows:
-            bound, modulus = sum(map(abs, cr.row)), 1
-            for q in SCAN_PRIMES:
-                if modulus > bound:
-                    break
+            bound, modulus = sum(map(abs, cr.row)), P_FIELD
+            for q in SCAN_PRIMES[1:]:
+                if modulus <= bound:
+                    found = found[sum(x % q * (found >> v & 1)
+                                      for v, x in enumerate(cr.row)) % q == 0]
                 modulus *= q
-                sums = subset_sums(np.array([x % q for x in cr.row], dtype=np.int64))
-                keep &= np.remainder(sums, q, out=sums) == 0
-                del sums  # freed before the next sums are built
             if modulus <= bound:
                 raise FeasibleSearchTooLarge("a row's absolute values sum to %d" % bound)
-        return np.flatnonzero(keep).astype(np.int64, copy=False)
-    except (MemoryError, ValueError) as exc:
-        # numpy raises ValueError past its largest array dimension
-        raise FeasibleSearchTooLarge("2^%d masks: %s" % (n, exc)) from exc
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest dimension
+        raise FeasibleSearchTooLarge("2^%d sums: %s" % (len(free), exc)) from exc
+    return found
 
 
 def find_deletable_edges(masks, p: Problem):

@@ -67,8 +67,8 @@ def second_pattern_bad():
 
 def theta():
     # a 49-cycle with an ear of length 2 on one edge, lists of 2: no
-    # reduction applies, the product leaves one constraint row, and its 50
-    # vertices are past the feasible scan's cap
+    # reduction applies, the product leaves one constraint row, and its 49
+    # free entries are past the feasible scan's cap
     edges = cycle(49).edges + ((0, 49), (1, 49))
     return Problem(n=50, s=(2,) * 50, edges=edges, name="theta")
 

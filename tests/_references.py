@@ -1,9 +1,11 @@
 """Reference helpers that only the tests use: packing single keys by hand,
-a sortedness check on term lists, a bounded-orientation count, and the
-greedy vertex orderings recounted from scratch at every pick."""
+a sortedness check on term lists, a bounded-orientation count, the
+greedy vertex orderings recounted from scratch at every pick, and the
+feasible scan over all 2^n masks."""
 
 import numpy as np
 
+from choosability.decide import DEFAULT_FEASIBLE_CAP, SCAN_PRIMES, FeasibleSearchTooLarge
 from choosability.oracle import _orientation_codes
 
 
@@ -86,3 +88,43 @@ def greedy_order(p, heuristic) -> tuple[int, ...]:
         marked.discard(v)
         marked.update(u for u in adj[v] if u in remaining)
     return tuple(order)
+
+
+def subset_sums(values):
+    """The sum of values[j] over the bits j of each mask, indexed by mask."""
+    sums = np.zeros(1 << len(values), dtype=values.dtype)
+    for j, value in enumerate(values):
+        np.add(sums[: 1 << j], value, out=sums[1 << j : 2 << j])
+    return sums
+
+
+def feasible_vectors_over_all_masks(basis, n: int, cap: int = DEFAULT_FEASIBLE_CAP):
+    """All chi in {0,1}^n satisfying every retained row exactly, as the
+    int64 array of their masks (bit v set when chi(v) = 1), ascending.
+
+    Each row's subset sums over all 2^n masks are taken modulo the first
+    of ``SCAN_PRIMES`` whose product exceeds the sum of its absolute
+    values; a sum that vanishes modulo each is zero.  Residues are below
+    2^31, so the sums are exact in int64.  Raises FeasibleSearchTooLarge
+    when n exceeds the cap, the 2^n arrays cannot be allocated, or the
+    primes do not cover a row (no int64 row while 2^n masks fit).
+    """
+    if n > cap:
+        raise FeasibleSearchTooLarge("n=%d exceeds the cap %d" % (n, cap))
+    try:
+        keep = np.ones(1 << n, dtype=bool)
+        for cr in basis.rows:
+            bound, modulus = sum(map(abs, cr.row)), 1
+            for q in SCAN_PRIMES:
+                if modulus > bound:
+                    break
+                modulus *= q
+                sums = subset_sums(np.array([x % q for x in cr.row], dtype=np.int64))
+                keep &= np.remainder(sums, q, out=sums) == 0
+                del sums  # freed before the next sums are built
+            if modulus <= bound:
+                raise FeasibleSearchTooLarge("a row's absolute values sum to %d" % bound)
+        return np.flatnonzero(keep).astype(np.int64, copy=False)
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError past its largest array dimension
+        raise FeasibleSearchTooLarge("2^%d masks: %s" % (n, exc)) from exc

@@ -278,7 +278,7 @@ def test_decide_feasible_cap_flag(tmp_path, capsys):
 
 
 def test_decide_feasible_scan_too_large_to_allocate_is_unknown(tmp_path, capsys):
-    # 2^50 masks could not be allocated; past the cap of 25 vertices the
+    # 2^49 sums could not be allocated; past the cap of 25 free entries the
     # scan does not try, and the allocation failure itself is tested on
     # enumerate_feasible_vectors
     path = write_problem(tmp_path, theta())

@@ -55,6 +55,7 @@ from _examples import (
     wheel,
     wheel_extension,
 )
+from _references import feasible_vectors_over_all_masks
 
 
 def feasible_set(p):
@@ -98,7 +99,8 @@ def added_one_at_a_time(n, rows, start=()):
 
 def assert_same_basis(a, b):
     assert a.rows == b.rows
-    assert a._echelon == b._echelon
+    assert a._pivots == b._pivots
+    assert np.array_equal(a._reduced, b._reduced)
     assert a.offered == b.offered
 
 
@@ -279,10 +281,21 @@ def test_feasible_enumeration_rejects_large_n():
 
 @pytest.mark.parametrize("n", [48, 64])
 def test_feasible_enumeration_refuses_arrays_it_cannot_allocate(n):
-    # 2^48 bytes exceed the x86-64 user address space; 2^64 entries exceed
-    # numpy's largest dimension.  Neither touches any memory.
+    # 2^48 bytes exceed the x86-64 user address space, and int64 masks hold
+    # no vertex 63.  Neither touches any memory.
     with pytest.raises(FeasibleSearchTooLarge):
         enumerate_feasible_vectors(ConstraintBasis(n), n, cap=n)
+
+
+@pytest.mark.parametrize("free", [0, 63])
+def test_feasible_enumeration_refuses_masks_past_int64(free):
+    # one free entry: a mask with vertex 63 in it would wrap to a negative
+    # int64, so no scan at n = 64 may return, whichever vertex is free
+    basis = ConstraintBasis(64)
+    for v in sorted(set(range(64)) - {free}):
+        assert basis.add((0,) * 64, tuple(int(u == v) for u in range(64)))
+    with pytest.raises(FeasibleSearchTooLarge, match="n=64"):
+        enumerate_feasible_vectors(basis, 64, cap=64)
 
 
 def test_feasible_enumeration_handles_huge_coefficients():
@@ -351,6 +364,16 @@ Q = decide_module.SCAN_PRIMES[1]
 @example(holding(2, [(P * Q, 1)]))
 # the full mask sums to exactly 0
 @example(holding(3, [(2**62, 2**62, -(2**63))]))
+# full rank: only the zero vector
+@example(holding(3, [(1, 1, 0), (0, 2, -1), (3, 0, 1)]))
+# a row that is 0 mod p: no pivot, and every free assignment is re-checked
+@example(holding(3, [(P, -P, 0)]))
+# the same row mod p, different rows over the integers
+@example(holding(3, [(1, -1, 0), (1 + P, -1, 0)]))
+# the pivot on the last vertex
+@example(holding(4, [(0, 0, 0, 5)]))
+# no rows: every vector
+@example(holding(3, []))
 def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
     n, basis = case
     every = (tuple((mask >> v) & 1 for v in range(n)) for mask in range(1 << n))
@@ -358,6 +381,29 @@ def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
     masks = enumerate_feasible_vectors(basis, n)
     assert masks.dtype == np.int64
     assert as_vectors(masks, n) == expected
+    # a cap of exactly the free entries leaves one pivot to a pass
+    echelon = ConstraintBasis(n)
+    echelon.extend([(0,) * n] * len(basis.rows), [[x % P for x in cr.row] for cr in basis.rows])
+    assert enumerate_feasible_vectors(basis, n, cap=n - echelon.rank).tobytes() == masks.tobytes()
+
+
+def test_feasible_enumeration_matches_the_scan_over_all_masks(monkeypatch):
+    # every scan the pipeline makes on the coefficient corpus and on
+    # tight-12 gives the masks of the 2^n subset-sum scan it replaced
+    scan, ns = decide_module.enumerate_feasible_vectors, []
+
+    def both(basis, n, cap=decide_module.DEFAULT_FEASIBLE_CAP):
+        masks = scan(basis, n, cap)
+        expected = feasible_vectors_over_all_masks(basis, n, cap)
+        assert masks.dtype == expected.dtype and masks.tobytes() == expected.tobytes()
+        ns.append(n)
+        return masks
+
+    monkeypatch.setattr(decide_module, "enumerate_feasible_vectors", both)
+    tight = parse_problem((Path(__file__).parent / "tight-12.prob").read_text())
+    for p in coefficient_corpus() + [tight]:
+        pipeline_decide(p)
+    assert len(ns) == 10 and ns[-1] == 12
 
 
 def test_feasible_enumeration_refuses_a_row_past_its_primes():
@@ -865,6 +911,16 @@ def test_tight_12_settles_only_past_the_default_pattern_cap():
     assert verdict.status == CHOOSABLE
     assert verdict.certificate["kind"] == "AllPatternsColorable"
     assert verdict.certificate["count"] == verdict.details["pattern_count"] == 1528
+
+
+def test_r28_94_is_settled_past_25_vertices():
+    # 28 vertices and 56 edges, the paper's scale: the rows leave one free
+    # entry, and the scan that refused every n > 25 now finds its 2 vectors
+    p = parse_problem((Path(__file__).parent / "r28-94.prob").read_text())
+    verdict = pipeline_decide(p)
+    assert verdict.status == CHOOSABLE
+    assert verdict.certificate["kind"] == "AllPatternsColorable"
+    assert verdict.details["constraint_rank"] == 27
 
 
 def test_pipeline_overflow_is_reported(monkeypatch):
