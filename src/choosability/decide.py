@@ -111,7 +111,10 @@ class ConstraintBasis:
 
     Rows are kept as exact integer vectors; only the independence test
     runs over the prime field, so a dependent-looking row is dropped but
-    every retained row is exact.  ``offered`` counts the rows ``extend`` tested.
+    every retained row is exact.  Rows enter only through ``extend``,
+    which keeps ``_pivots`` and ``_reduced``, the rows' reduced echelon
+    form mod p in insertion order, in step with them; the feasible scan
+    reads that form.  ``offered`` counts the rows ``extend`` tested.
     """
 
     def __init__(self, n: int):
@@ -187,9 +190,7 @@ class _FirstTermSink:
         self.witness = None
 
     def __call__(self, layout, terms):
-        key = terms.keys[-1].tolist()
-        f = tuple(key[word] % span // weight for word, weight, span in layout.place)
-        self.witness = (f, int(terms.coeffs[-1]))
+        self.witness = (layout.degrees(terms.keys[-1]), int(terms.coeffs[-1]))
         return True
 
 
@@ -272,27 +273,26 @@ def enumerate_feasible_vectors(
 ):
     """All chi in {0,1}^n satisfying every retained row exactly, as the
     int64 array of their masks (bit v set when chi(v) = 1), ascending: the
-    free entries' assignments in the rows' reduced echelon form mod p that
-    make every pivot 0 or 1, by subset sums, at most 2^cap to a pass, then
-    modulo further ``SCAN_PRIMES`` for a row whose absolute values sum to p
-    or more.  Raises FeasibleSearchTooLarge past 63 vertices or cap free
-    entries, or when the sums cannot be allocated or the primes do not cover a row."""
-    (echelon := ConstraintBasis(n)).extend(
-        [cr.base for cr in basis.rows], [[x % P_FIELD for x in cr.row] for cr in basis.rows])
-    free = sorted(set(range(n)).difference(echelon._pivots))
+    free entries' assignments in the reduced echelon form mod p the basis
+    keeps that make every pivot 0 or 1, by subset sums, at most 2^cap to a
+    pass, then modulo further ``SCAN_PRIMES`` for a row whose absolute
+    values sum to p or more.  Raises FeasibleSearchTooLarge past 63 vertices
+    or cap free entries, or when the sums cannot be allocated or the primes
+    do not cover a row."""
+    free = sorted(set(range(n)).difference(basis._pivots))
     if n > 63 or len(free) > cap:
         raise FeasibleSearchTooLarge("n=%d, %d free entries, cap %d" % (n, len(free), cap))
     step = max(1, (1 << cap) >> len(free))
-    passes = [slice(i, i + step) for i in range(0, echelon.rank, step)]
-    residues = (-echelon._reduced[:, free] % P_FIELD).astype(np.uint32)  # sum to chi(pivot) mod p
+    passes = [slice(i, i + step) for i in range(0, basis.rank, step)]
+    residues = (-basis._reduced[:, free] % P_FIELD).astype(np.uint32)  # sum to chi(pivot) mod p
     try:
         keep = np.ones(1 << len(free), dtype=bool)
         for part in passes:
             keep &= ((values := subset_sums(residues[part])) <= 1).all(axis=0)
         found = np.flatnonzero(keep)
         bits = sum(np.left_shift((values if part is passes[-1] else subset_sums(residues[part]))[
-            :, found], np.array(echelon._pivots)[part, None]).sum(axis=0) for part in passes)
-        for pivot in sorted(echelon._pivots):  # spread the free entries to their vertices
+            :, found], np.array(basis._pivots)[part, None]).sum(axis=0) for part in passes)
+        for pivot in sorted(basis._pivots):  # spread the free entries to their vertices
             found += found >> pivot << pivot
         found += bits
         found.sort(kind="stable")  # in place; a stable sort takes each sorted run whole
@@ -322,8 +322,8 @@ def find_deletable_edges(masks, p: Problem):
 
 
 def enumerate_assignment_patterns(masks, s, cap: int = DEFAULT_PATTERN_CAP, stop=None):
-    """``oracle.walk_patterns`` over the masks of the nonzero feasible
-    vectors, as the list of the patterns it finds.  Each is passed to
+    """``oracle.walk_patterns`` over the feasible vectors' masks (it passes
+    over mask 0), as the list of the patterns it finds.  Each goes to
     ``stop``, when given, and the first for which it is true ends the
     search and the list.  Raises PatternCapExceeded once a pattern past
     the first cap is found, before ``stop`` sees it."""
@@ -500,9 +500,8 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
             return Verdict(UNKNOWN, reason="NoConstraints", details=details)
 
         masks = enumerate_feasible_vectors(basis, p.n)
-        nonzero = masks[masks != 0]
         details["feasible_vectors"] = len(masks)
-        details["deletable_edges"] = [list(e) for e in find_deletable_edges(nonzero, p)]
+        details["deletable_edges"] = [list(e) for e in find_deletable_edges(masks, p)]
 
         color = oracle.pattern_colorer(p)
         bad = []
@@ -513,9 +512,7 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
             bad.append(pattern)
             return True
 
-        patterns = enumerate_assignment_patterns(
-            nonzero, p.s, settings.pattern_cap, stop=uncolorable
-        )
+        patterns = enumerate_assignment_patterns(masks, p.s, settings.pattern_cap, uncolorable)
     except tuple(_GIVE_UPS) as exc:
         if isinstance(exc, CoefficientOverflow):
             details["overflow"] = str(exc)

@@ -71,7 +71,6 @@ class DegreeLayout:
         if len(ordering.order) != problem.n:
             raise ValueError("ordering size does not match problem")
         self.problem = problem
-        self.ordering = ordering
         exact = [problem.s[v] for v in ordering.order] + [problem.n + 1] * marked
         if max(exact) > 2**64:
             raise ValueError("list size %d does not fit in a 64-bit field" % max(problem.s))
@@ -90,6 +89,12 @@ class DegreeLayout:
             for v, ((w, weight, span), s) in enumerate(zip(self.place, problem.s))
         ]
         self.marker_low = self.marker and (self.marker[0], *_reduce(self.marker[2]))
+
+    def degrees(self, key) -> tuple[int, ...]:
+        """One key's degree vector in original indexing, decoded in Python
+        ints: on one term far cheaper than ``unpack_terms``."""
+        key = key.tolist()
+        return tuple(key[word] % span // weight for word, weight, span in self.place)
 
 
 def _place(radices):
@@ -287,9 +292,6 @@ class RunStats:
             self.peak_terms = count
 
 
-OUTCOME_COMPLETED = "completed"
-OUTCOME_ABORTED = "aborted"
-
 # Terms a segment may hold after a turn before the run splits it.
 DEFAULT_BRANCH_LIMIT = 100000
 # The witness search (``decide.standard_alon_tarsi``) splits past this many
@@ -339,7 +341,7 @@ def run_truncated_product(
     budgets, summed over the remaining graph, cannot hold its edges are
     dropped (``_prune_unreachable``).  The final terms do not change.
 
-    Returns (outcome, RunStats); outcome says whether the sink stopped the
+    Returns (stopped, RunStats); stopped says whether the sink stopped the
     run early.
     """
     if mode not in ("standard", "extended"):
@@ -399,8 +401,8 @@ def run_truncated_product(
                 break
         else:
             if len(terms) and sink is not None and sink(layout, terms):
-                return OUTCOME_ABORTED, stats
-    return OUTCOME_COMPLETED, stats
+                return True, stats
+    return False, stats
 
 
 def _turn_bound(problem, position, i):

@@ -206,6 +206,16 @@ def test_decide_runs_no_product_on_a_probe_component_past_the_degree_count(capsy
     assert "extended_stats" not in report["details"]
 
 
+def test_decide_text_report_counts_the_patterns_it_colored(capsys):
+    path = str(Path(__file__).with_name("r28-94.prob"))
+    code, out, _ = run_cli(capsys, ["decide", path])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2:5] == ["verdict: CHOOSABLE", "certificate: AllPatternsColorable",
+                          "  patterns checked: 1"]
+    assert "pattern count: 1" in lines
+
+
 def test_decide_reads_stdin(monkeypatch, capsys):
     text = format_problem(cycle(5))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -612,6 +622,16 @@ def test_oracle_refuses_degrees_outside_the_coefficient_action(tmp_path, capsys,
     assert err.startswith("error:") and "degree" in err
 
 
+@pytest.mark.parametrize(
+    "p, limit", [(cycle(16), "at most 15 vertices"), (complete(8), "at most 22 edges")]
+)
+def test_oracle_table_refuses_the_orientation_sweep_past_its_limits(tmp_path, capsys, p, limit):
+    path = write_problem(tmp_path, p)
+    code, out, err = run_cli(capsys, ["oracle", "table", path])
+    assert (code, out) == (3, "")
+    assert err == "error: orientation sweep supports %s\n" % limit
+
+
 def test_oracle_choosable_refuses_large_input(tmp_path, capsys):
     path = write_problem(tmp_path, cycle(9))
     code, _, err = run_cli(capsys, ["oracle", "choosable", path])
@@ -680,6 +700,28 @@ def test_bench_runs_only_the_orderings_it_is_named(tmp_path, capsys):
     assert out.splitlines()[1].split()[-1] == "-"
 
 
+def test_bench_reports_an_overflow_in_its_row(tmp_path, capsys, monkeypatch):
+    path = write_problem(tmp_path, cycle(5))
+    product = cli.run_truncated_product
+
+    def overflow_under_md(p, ordering, **kwargs):
+        if ordering.heuristic == "MD":
+            raise CoefficientOverflow("edge {0,1}")
+        return product(p, ordering, **kwargs)
+
+    monkeypatch.setattr(cli, "run_truncated_product", overflow_under_md)
+    code, out, _ = run_cli(capsys, ["bench", path, "--heuristics", "INPUT,MD", "--json"])
+    assert code == 0
+    rows = {row["heuristic"]: row for row in json.loads(out)["rows"]}
+    assert rows["MD"]["error"] == "edge {0,1}"
+    assert rows["MD"]["monomials"] is None and rows["MD"]["relative_percent"] is None
+    assert rows["INPUT"]["error"] is None and rows["INPUT"]["relative_percent"] == 100.0
+    code, out, _ = run_cli(capsys, ["bench", path, "--heuristics", "INPUT,MD"])
+    assert code == 0
+    heuristic, _, count, relative = out.splitlines()[2].split()
+    assert (heuristic, count, relative) == ("MD", "overflow", "-")
+
+
 @pytest.mark.parametrize("names", [",", "", " , "])
 def test_bench_without_heuristics_exits_3(tmp_path, capsys, names):
     path = write_problem(tmp_path, cycle(5))
@@ -722,6 +764,12 @@ def test_gen_bad_params_exits_3(capsys):
     code, _, err = run_cli(capsys, ["gen", "glued-cliques", "1", "3"])
     assert code == 3
     assert "error:" in err
+
+
+def test_gen_refuses_a_grid_below_two(capsys):
+    code, out, err = run_cli(capsys, ["gen", "grid-diag", "1"])
+    assert (code, out) == (3, "")
+    assert err == "error: need a >= 2\n"
 
 
 @pytest.mark.parametrize(

@@ -97,11 +97,19 @@ def added_one_at_a_time(n, rows, start=()):
     return basis, False
 
 
+P = decide_module.P_FIELD
+
+
 def assert_same_basis(a, b):
     assert a.rows == b.rows
     assert a._pivots == b._pivots
     assert np.array_equal(a._reduced, b._reduced)
     assert a.offered == b.offered
+    # the feasible scan reads this form as it is: it must be the one the
+    # kept rows, offered again mod p, give
+    again = ConstraintBasis(a.n)
+    again.extend([cr.base for cr in a.rows], [[x % P for x in cr.row] for cr in a.rows])
+    assert again._pivots == a._pivots and np.array_equal(again._reduced, a._reduced)
 
 
 @pytest.mark.parametrize(
@@ -311,9 +319,6 @@ def test_full_rank_basis_leaves_only_zero():
     assert as_vectors(enumerate_feasible_vectors(basis, 2), 2) == [(0, 0)]
 
 
-P = decide_module.P_FIELD
-
-
 @pytest.mark.parametrize(
     "row",
     [
@@ -340,11 +345,13 @@ ENTRIES = st.one_of(
 
 
 def holding(n, rows):
-    """(n, a basis holding exactly these rows)"""
+    """(n, the basis ``extend`` keeps of these rows): it is offered their
+    residues mod p, so that rows past int64 fit, and each row kept then
+    gets back its exact entries, which the residues it was reduced from
+    still match"""
     basis = ConstraintBasis(n)
-    # set the rows directly: the scan must be exact whatever rows it holds,
-    # including rows the mod-p independence test would drop
-    basis.rows = [ConstraintRow((0,) * n, tuple(row)) for row in rows]
+    basis.extend([(i,) * n for i in range(len(rows))], [[x % P for x in row] for row in rows])
+    basis.rows = [ConstraintRow(cr.base, tuple(rows[cr.base[0]])) for cr in basis.rows]
     return n, basis
 
 
@@ -366,10 +373,10 @@ Q = decide_module.SCAN_PRIMES[1]
 @example(holding(3, [(2**62, 2**62, -(2**63))]))
 # full rank: only the zero vector
 @example(holding(3, [(1, 1, 0), (0, 2, -1), (3, 0, 1)]))
-# a row that is 0 mod p: no pivot, and every free assignment is re-checked
-@example(holding(3, [(P, -P, 0)]))
-# the same row mod p, different rows over the integers
-@example(holding(3, [(1, -1, 0), (1 + P, -1, 0)]))
+# a pivot mod p that the second prime refutes: (1, 1) sums to p
+@example(holding(3, [(P + 1, -1, 0)]))
+# two rows, the second re-checked: chi(1) = chi(2) mod p, not over the integers
+@example(holding(3, [(1, -1, 0), (0, P + 1, -1)]))
 # the pivot on the last vertex
 @example(holding(4, [(0, 0, 0, 5)]))
 # no rows: every vector
@@ -382,9 +389,7 @@ def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
     assert masks.dtype == np.int64
     assert as_vectors(masks, n) == expected
     # a cap of exactly the free entries leaves one pivot to a pass
-    echelon = ConstraintBasis(n)
-    echelon.extend([(0,) * n] * len(basis.rows), [[x % P for x in cr.row] for cr in basis.rows])
-    assert enumerate_feasible_vectors(basis, n, cap=n - echelon.rank).tobytes() == masks.tobytes()
+    assert enumerate_feasible_vectors(basis, n, cap=n - basis.rank).tobytes() == masks.tobytes()
 
 
 def test_feasible_enumeration_matches_the_scan_over_all_masks(monkeypatch):
@@ -407,11 +412,14 @@ def test_feasible_enumeration_matches_the_scan_over_all_masks(monkeypatch):
 
 
 def test_feasible_enumeration_refuses_a_row_past_its_primes():
+    # rows of about 2^93, no int64: ``holding`` extends the basis with their
+    # residues and gives the kept rows their exact entries
     bound = P * Q * decide_module.SCAN_PRIMES[2]
     with pytest.raises(FeasibleSearchTooLarge, match="absolute values"):
-        enumerate_feasible_vectors(holding(2, [(bound, 0)])[1], 2)
+        enumerate_feasible_vectors(holding(2, [(bound - 1, 1)])[1], 2)
     # one less is covered: chi(0) = 1 sums to bound - 1
     basis = holding(2, [(bound - 1, 0)])[1]
+    assert basis.rank == 1
     assert as_vectors(enumerate_feasible_vectors(basis, 2), 2) == [(0, 0), (0, 1)]
 
 

@@ -13,6 +13,7 @@ from choosability import (
     HEURISTICS,
     Problem,
     ProblemFormatError,
+    VertexOrdering,
     format_problem,
     generate_family,
     order_vertices,
@@ -93,6 +94,23 @@ def test_problem_refuses_values_that_are_not_integers(n, s, edges, at):
     with pytest.raises(ProblemFormatError, match="integer") as err:
         Problem(n, s, edges)
     assert err.value.edge == at
+
+
+@pytest.mark.parametrize(
+    "n, s, message",
+    [(0, (), "at least one vertex"), (2, (1,), "expected 2 list sizes, got 1"),
+     (2, (1, 1, 1), "expected 2 list sizes, got 3")],
+)
+def test_problem_refuses_no_vertices_and_a_wrong_list_count(n, s, message):
+    with pytest.raises(ProblemFormatError, match=message) as err:
+        Problem(n, s, ())
+    assert err.value.edge is None
+
+
+@pytest.mark.parametrize("order", [(0, 0), (1, 2), (0, 2, 1, 1), (-1, 0)])
+def test_an_ordering_must_be_a_permutation(order):
+    with pytest.raises(ValueError, match="not a permutation"):
+        VertexOrdering(order=order)
 
 
 def test_problem_stores_numpy_integers_as_int():
@@ -295,6 +313,8 @@ def test_family_rejects_bad_params():
         generate_family("glued-cliques", 1, 3)
     with pytest.raises(ValueError):
         generate_family("cycle-triangles", 1)
+    with pytest.raises(ProblemFormatError, match="a >= 2"):
+        generate_family("grid-diag", 1)
     with pytest.raises(ValueError):
         generate_family("no-such-family", 3)
 

@@ -56,11 +56,11 @@ class Collector:
 
 def collect(p, mode="standard", branch_limit=None, heuristic="INPUT", **kw):
     sink = Collector()
-    outcome, stats = run_truncated_product(
+    stopped, stats = run_truncated_product(
         p, order_vertices(p, heuristic), mode=mode, branch_limit=branch_limit,
         sink=sink, **kw,
     )
-    return sink, outcome, stats
+    return sink, stopped, stats
 
 
 # ---------------------------------------------------------------- layout
@@ -84,10 +84,10 @@ def test_pack_unpack_round_trip_and_order(case):
     order = list(range(p.n))
     random.Random(seed).shuffle(order)
     layout = DegreeLayout(p, VertexOrdering(order=tuple(order)))
-    assert unpack(layout, pack(layout, f)) == f
+    assert unpack(layout, pack(layout, f)) == layout.degrees(pack(layout, f)) == f
     key_f = tuple(int(x) for x in pack(layout, f))
     key_g = tuple(int(x) for x in pack(layout, g))
-    by_position = lambda h: tuple(h[v] for v in layout.ordering.order)
+    by_position = lambda h: tuple(h[v] for v in order)
     assert (key_f < key_g) == (by_position(f) < by_position(g))
 
 
@@ -112,6 +112,13 @@ def test_layout_rejects_fields_wider_than_a_word():
         DegreeLayout(wider, VertexOrdering(order=(0, 1)))
 
 
+def test_layout_refuses_an_ordering_of_another_size():
+    p = Problem(n=3, s=(2, 2, 2), edges=((0, 1),))
+    for order in ((0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="ordering size does not match"):
+            DegreeLayout(p, VertexOrdering(order=order))
+
+
 def test_layout_spans_multiple_words():
     p = Problem(n=14, s=(31,) * 14, edges=())
     layout = DegreeLayout(p, order_vertices(p, "INPUT"))
@@ -121,8 +128,8 @@ def test_layout_spans_multiple_words():
 
 
 def _finals(p, mode, heuristic="INPUT"):
-    sink, outcome, _ = collect(p, mode=mode, branch_limit=1, heuristic=heuristic)
-    assert outcome == "completed"
+    sink, stopped, _ = collect(p, mode=mode, branch_limit=1, heuristic=heuristic)
+    assert not stopped
     return sink.terms
 
 
@@ -202,8 +209,8 @@ def test_standard_multiply_cancels_middle_terms():
 
 
 def test_k3_standard_truncates_to_nothing():
-    sink, outcome, _ = collect(complete(3, 2))
-    assert outcome == "completed"
+    sink, stopped, _ = collect(complete(3, 2))
+    assert not stopped
     assert sink.terms == []
 
 
@@ -423,8 +430,8 @@ def test_marker_codes_name_the_vertex_under_any_ordering():
     assert order_vertices(p, "INPUT").order != order_vertices(p, "VSEP").order
     finals = {}
     for heuristic in ("INPUT", "VSEP"):
-        sink, outcome, _ = collect(p, "extended", poly.DEFAULT_BRANCH_LIMIT, heuristic)
-        assert outcome == "completed"
+        sink, stopped, _ = collect(p, "extended", poly.DEFAULT_BRANCH_LIMIT, heuristic)
+        assert not stopped
         finals[heuristic] = Counter(sink.terms)
     assert finals["INPUT"] == finals["VSEP"]
     assert sum(marker is not None for _, marker, _ in finals["INPUT"]) == 88
@@ -511,6 +518,34 @@ def test_parts_arrive_in_descending_order_and_rebuild_the_unsplit_list(mode):
             else:
                 assert np.array_equal(got[0], whole[0]), (p.name, limit)
                 assert np.array_equal(got[1], whole[1]), (p.name, limit)
+
+
+def test_a_sink_that_stops_the_run_counts_the_parts_it_began():
+    # on C4 under INPUT at limit 1 the run begins the unit list and the
+    # largest part of the splits after turns 0 and 1, whose terms the sink
+    # stops at; a run to the end also begins the two smaller parts
+    p = cycle(4)
+    ordering = order_vertices(p, "INPUT")
+    for stop, expected in ((True, (True, 3)), (False, (False, 5))):
+        stopped, stats = run_truncated_product(
+            p, ordering, branch_limit=1, sink=lambda layout, terms: stop
+        )
+        assert (stopped, stats.branches) == expected
+    # stopping at each delivery in turn begins more parts each time
+    for p in _split_cases():
+        ordering = order_vertices(p, "MD+PROC")
+        full = DeliveryRecorder()
+        _, whole = run_truncated_product(p, ordering, "extended", 1, full)
+        counts = []
+        for k in range(1, len(full.deliveries) + 1):
+            seen = []
+            stopped, stats = run_truncated_product(
+                p, ordering, "extended", 1, lambda layout, terms: seen.append(1) or len(seen) == k
+            )
+            assert stopped and len(seen) == k, p.name
+            counts.append(stats.branches)
+        assert counts == sorted(set(counts)), p.name
+        assert not counts or counts[-1] <= whole.branches, p.name
 
 
 def test_verdicts_do_not_depend_on_the_split():
