@@ -176,6 +176,11 @@ def _emit(args, report: dict, print_text) -> None:
         print_text(report)
 
 
+# the line under a certificate of each kind that holds no pattern
+_CERT_LINES = {"WitnessMonomial": "f = %(f)s  coefficient = %(coefficient)d",
+               "AllPatternsColorable": "patterns checked: %(count)d"}
+
+
 def _print_decide(report: dict) -> None:
     prob = report["problem"]
     label = prob["name"] or "<unnamed>"
@@ -189,12 +194,14 @@ def _print_decide(report: dict) -> None:
     cert = report["certificate"]
     if cert is not None:
         print("certificate: %s" % cert["kind"])
-        if cert["kind"] == "WitnessMonomial":
-            print("  f = %s  coefficient = %d" % (cert["f"], cert["coefficient"]))
-        elif cert["kind"] == "BadAssignment":
+        if cert["kind"] == "BadAssignment":
             _print_pattern(cert["pattern"])
-        elif cert["kind"] == "AllPatternsColorable":
-            print("  patterns checked: %d" % cert["count"])
+        elif "components" in cert:
+            for part in cert["components"]:
+                line = _CERT_LINES[part["kind"]] % part
+                print("  component %s: %s, %s" % (part["vertices"], part["kind"], line))
+        else:
+            print("  " + _CERT_LINES[cert["kind"]] % cert)
     if report["reason"]:
         print("reason: %s" % report["reason"])
     details = report["details"]

@@ -439,6 +439,9 @@ def pipeline_decide(p: Problem, **settings) -> Verdict:
             return _lift_bad(p.n, colors, vs, live, s, steps, details)
         if run.status == UNKNOWN or run.certificate["kind"] != "WitnessMonomial":
             cert = run.certificate and dict(run.certificate, vertices=vs)
+            if run.status == CHOOSABLE and len(runs) > 1:  # each component's own proof
+                cert = {"kind": "AllPatternsColorable", "components": [
+                    dict(r.certificate, vertices=c) for c, r in runs]}
             return Verdict(run.status, cert, run.reason, details)
 
     # every component gave a witness; side by side they multiply
@@ -463,7 +466,8 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
     "standard" stops; constraint collection; the feasible-vector scan;
     deletable edges; and the pattern search, which colors each candidate
     assignment as it is found and stops at the first that cannot be
-    colored, as a ``BadAssignment`` of the walk's own pattern.  Every
+    colored: the list's last pattern, colored once more to tell it from a
+    list that ran out, is the ``BadAssignment``.  Every
     assignment coloring, none at all included, gives
     ``AllPatternsColorable``.  A stage that cannot finish gives UNKNOWN,
     its reason from the table ``_GIVE_UPS`` and its findings so far kept.
@@ -504,22 +508,15 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
         details["deletable_edges"] = [list(e) for e in find_deletable_edges(masks, p)]
 
         color = oracle.pattern_colorer(p)
-        bad = []
-
-        def uncolorable(pattern) -> bool:
-            if color(pattern) is not None:
-                return False
-            bad.append(pattern)
-            return True
-
-        patterns = enumerate_assignment_patterns(masks, p.s, settings.pattern_cap, uncolorable)
+        patterns = enumerate_assignment_patterns(masks, p.s, settings.pattern_cap,
+                                                 lambda pattern: color(pattern) is None)
     except tuple(_GIVE_UPS) as exc:
         if isinstance(exc, CoefficientOverflow):
             details["overflow"] = str(exc)
         return Verdict(UNKNOWN, reason=_GIVE_UPS[type(exc)], details=details)
     details["pattern_count"] = len(patterns)
-    if bad:
-        cert = {"kind": "BadAssignment", "pattern": bad[0]}
+    if patterns and color(patterns[-1]) is None:
+        cert = {"kind": "BadAssignment", "pattern": patterns[-1]}
         return Verdict(NOT_CHOOSABLE, cert, details=details)
     cert = {"kind": "AllPatternsColorable", "count": len(patterns)}
     return Verdict(CHOOSABLE, cert, details=details)

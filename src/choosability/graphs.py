@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import numbers
 from dataclasses import dataclass, field
 
@@ -318,11 +317,8 @@ def _glued_cliques(a: int, b: int, drop_last_edge: bool, name: str) -> Problem:
                     edges.append((x, y))
     if drop_last_edge:
         edges.remove((n - 2, n - 1))
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return Problem(n, tuple(deg), tuple(edges), name)
+    graph = Problem(n, (1,) * n, tuple(edges))  # list sizes are the degrees
+    return Problem(n, tuple(graph.degrees()), graph.edges, name)
 
 
 def _grid_diag(a: int, name: str) -> Problem:
@@ -383,21 +379,21 @@ def generate_family(family: str, *params: int) -> Problem:
     elsewhere.  cycle-triangles(n): cycle on 3n vertices plus the chords
     {i, i+n}, list size 3 everywhere.
     """
-    label = "%s(%s)" % (family, ",".join(str(x) for x in params))
-    builders = {
-        "glued-cliques": lambda a, b: _glued_cliques(a, b, False, label),
-        "glued-cliques-minus-edge": lambda a, b: _glued_cliques(a, b, True, label),
-        "grid-diag": lambda a: _grid_diag(a, label),
-        "cycle-triangles": lambda n: _cycle_triangles(n, label),
-    }
-    if family not in builders:
+    if family not in _FAMILY_TABLE:
         raise ProblemFormatError("unknown family %r" % family)
-    names = list(inspect.signature(builders[family]).parameters)
+    names, build = _FAMILY_TABLE[family]
     if len(params) != len(names):
         raise ProblemFormatError(
             "%s needs the parameters (%s); got %d" % (family, ", ".join(names), len(params))
         )
-    return builders[family](*params)
+    return build(*params, "%s(%s)" % (family, ",".join(str(x) for x in params)))
 
 
-FAMILIES = ("glued-cliques", "glued-cliques-minus-edge", "grid-diag", "cycle-triangles")
+# each family's parameter names and its builder, which takes them and the name
+_FAMILY_TABLE = {
+    "glued-cliques": (("a", "b"), lambda a, b, name: _glued_cliques(a, b, False, name)),
+    "glued-cliques-minus-edge": (("a", "b"), lambda a, b, name: _glued_cliques(a, b, True, name)),
+    "grid-diag": (("a",), _grid_diag),
+    "cycle-triangles": (("n",), _cycle_triangles),
+}
+FAMILIES = tuple(_FAMILY_TABLE)

@@ -111,19 +111,15 @@ def coefficient_table(p: Problem) -> dict[tuple[int, ...], tuple[int, int]]:
     """All-orientation sweep: maps f to (signed sum, orientation count).
 
     Every f realized by at least one orientation appears; a missing f has
-    no orientation, hence coefficient 0.
+    no orientation, hence coefficient 0.  ``np.unique`` counts each f's
+    orientations and one ``np.bincount`` those of sign +1: the ones with an
+    even number of edges in the reference direction, m less the bits of
+    the index.  The signed sum is twice those less the count.
     """
     idx, codes = _orientation_codes(p)
-    parity = idx.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        parity ^= parity >> shift
-    # sign = -1 to the number of reference-direction edges (m - popcount)
-    signs = np.where(((parity ^ p.m) & 1) == 1, -1, 1).astype(np.int64)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    counts = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inverse, signs)
-    np.add.at(counts, inverse, np.ones_like(signs))
+    uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    positive = inverse[((np.bitwise_count(idx) ^ p.m) & 1) == 0]
+    sums = 2 * np.bincount(positive, minlength=len(uniq)) - counts
     table = {}
     for code, total, count in zip(uniq, sums, counts):
         f = tuple((int(code) >> (4 * v)) & 15 for v in range(p.n))

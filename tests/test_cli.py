@@ -216,6 +216,22 @@ def test_decide_text_report_counts_the_patterns_it_colored(capsys):
     assert "pattern count: 1" in lines
 
 
+def test_decide_text_report_gives_one_line_per_component(capsys):
+    path = str(Path(__file__).with_name("tight-12-c4.prob"))
+    code, out, _ = run_cli(capsys, ["decide", path, "--pattern-cap", "1528"])
+    assert code == 0
+    lines = out.splitlines()
+    witness = pipeline_decide(cycle(4)).certificate
+    assert lines[2:6] == [
+        "verdict: CHOOSABLE",
+        "certificate: AllPatternsColorable",
+        "  component [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]: AllPatternsColorable, "
+        "patterns checked: 1528",
+        "  component [12, 13, 14, 15]: WitnessMonomial, f = %s  coefficient = %d"
+        % (witness["f"], witness["coefficient"]),
+    ]
+
+
 def test_decide_reads_stdin(monkeypatch, capsys):
     text = format_problem(cycle(5))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

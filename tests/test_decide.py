@@ -25,6 +25,7 @@ from choosability import (
     brute_force_choosable,
     collect_constraints,
     color_from_pattern,
+    direct_coefficient,
     enumerate_assignment_patterns,
     enumerate_feasible_vectors,
     find_deletable_edges,
@@ -919,6 +920,25 @@ def test_tight_12_settles_only_past_the_default_pattern_cap():
     assert verdict.status == CHOOSABLE
     assert verdict.certificate["kind"] == "AllPatternsColorable"
     assert verdict.certificate["count"] == verdict.details["pattern_count"] == 1528
+
+
+def test_a_mixed_choosable_verdict_lists_every_component():
+    # tight-12 beside a 4-cycle with lists of 2: one component is choosable
+    # by its patterns, the other by a witness, and both proofs are reported
+    p = parse_problem((Path(__file__).parent / "tight-12-c4.prob").read_text())
+    verdict = pipeline_decide(p, pattern_cap=1528)
+    assert verdict.status == CHOOSABLE
+    assert verdict.certificate.keys() == {"kind", "components"}
+    assert verdict.certificate["kind"] == "AllPatternsColorable"
+    tight, ring = verdict.certificate["components"]
+    assert sorted(tight["vertices"] + ring["vertices"]) == list(range(16))
+    assert (tight["kind"], tight["count"]) == ("AllPatternsColorable", 1528)
+    assert tight["vertices"] == list(range(12))
+    assert ring["kind"] == "WitnessMonomial"
+    cycle4 = p.induced(ring["vertices"], p.s)
+    assert set(cycle4.edges) == set(cycle(4).edges)
+    assert direct_coefficient(cycle4, ring["f"]) == ring["coefficient"] != 0
+    assert verdict.details["reductions"]["components"] == 2
 
 
 def test_r28_94_is_settled_past_25_vertices():

@@ -1,5 +1,6 @@
 """Problem parsing, formatting, orderings, and generator families."""
 
+import hashlib
 import itertools
 import math
 
@@ -306,6 +307,45 @@ def test_generated_problems_round_trip():
         params = (2, 3) if family.startswith("glued") else (3,)
         p = generate_family(family, *params)
         assert parse_problem(format_problem(p), name=p.name) == p
+
+
+# sha256 of format_problem(generate_family(...)) for every instance the
+# benchmark's workloads and CI build: its names, lists and edge order
+GENERATED = {
+    ("glued-cliques", 2, 3): "a435630ae2df7a1d1db705adfe3b5cc1483a7b3db6ad62548cdf69b8a127c8ea",
+    ("glued-cliques", 2, 5): "647e02280dc34e5415349c3627b6b252fedfd88e6186f0c04a1b2b51541e6759",
+    ("glued-cliques", 3, 4): "10080c455ab46c9e55a08fcfa8ab282a86f7aaeb5b216a96492749f26f230690",
+    ("glued-cliques", 4, 4): "e7755e321d5e1c5f3a3fdeb11b8473cb170f0bde83262c4f9b4326bf04ae84d0",
+    ("glued-cliques", 4, 5): "78845353b6868be2e3e9096503ac04f21aa3644fff807435a48876d347a057a3",
+    ("glued-cliques", 6, 3): "22d2096f418c01b48c30652b4a7ce08c670f465dcf00accb25129a2f36df2958",
+    ("glued-cliques", 8, 3): "8ef4ca6f2f79aa452d2925d104a9bfb6da34bb8bf54c88e5e57d70b6028c217a",
+    ("glued-cliques-minus-edge", 2, 6):
+        "02c273ad955f87b7e58943eab9c7e9da30808d3f65658cc26f7469a9048969af",
+    ("glued-cliques-minus-edge", 3, 5):
+        "bfd7e89e9355bfb028e9689d1b96397e93a9f7f8a0a040c5ea4cd379fa69c3dc",
+    ("grid-diag", 3): "87643bb0db0986804a1da9957dc7ac9984b156679630e0d18120a3e436ed4b57",
+    ("grid-diag", 4): "3e837544712a2ccb3c253acd4a17513c6b6ff81ed5d1be1bfd9af090647e53b6",
+    ("grid-diag", 5): "7c3762f6478c9a6e06946516614a022335b5cac6d5887c30034a656e5d39e283",
+    ("grid-diag", 8): "3a1d36b0ce66e1370c9c10f90d438366a80a63662a4a29388bbc570afe3e8f61",
+    ("cycle-triangles", 3): "8fc4a48756112be8c4c9ea74caa693848de04228308148035cb00ff804216fde",
+    ("cycle-triangles", 4): "a2fb0eacb56588008b7e6a375a377c1f65f24092d81573fd267dcbe78aadec04",
+    ("cycle-triangles", 5): "634f1bc8799f0791c467fd1e8aae333ef202869e264620aeed9af990c929d056",
+    ("cycle-triangles", 6): "e1044a818a55eb5c60e13abc111bd53145ab6e9f4250a197d4e5ea93d8950f5f",
+    ("cycle-triangles", 7): "378258fb404825509744a9bf687189ff34ed62239a21b414bbd6030946476f4c",
+    ("cycle-triangles", 8): "301041f4362046ceb84572dcfd03c73ab8fcd4fc245016228f29abeff9f5cd7d",
+    ("cycle-triangles", 9): "99f3ef9bccdf9300750bb275e507e06a1c872096e47fc9e138e9f6071bd5fc12",
+    ("cycle-triangles", 10): "19f9e7cb01bdee4b66d1166436e4b9d8cb2f86fca8e823b43a316a6c1860b429",
+    ("cycle-triangles", 11): "309d02fe4e256af54799614dc0067cf95499b3aa21902c1dd7baa968a031a1e1",
+    ("cycle-triangles", 12): "9773d703b72ff5c65be572cb8e811fb697ac5d3bf4c37c59048a6d69d056e6df",
+    ("cycle-triangles", 13): "822add3e2cb2eb42e2964a1b7f2578a4df901c4fa558eca2ad71aba530399a7e",
+    ("cycle-triangles", 14): "f4c0e1a19f6e62a1ff010dde8fd7701f48812ea00be2411b9d4363de986c2a03",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GENERATED))
+def test_generated_text_is_pinned(instance):
+    text = format_problem(generate_family(*instance))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED[instance]
 
 
 def test_family_rejects_bad_params():

@@ -56,8 +56,13 @@ def pattern_of(verdict):
 
 def assert_certificate_holds(p, verdict):
     """A WitnessMonomial's coefficient is the signed orientation count; a
-    BadAssignment covers the lists exactly and cannot be colored."""
+    BadAssignment covers the lists exactly and cannot be colored.  Each
+    witness among a certificate's components holds on its own component."""
     cert = verdict.certificate
+    for part in (cert or {}).get("components", []):
+        if part["kind"] == "WitnessMonomial":
+            component = p.induced(part["vertices"], p.s)
+            assert direct_coefficient(component, part["f"]) == part["coefficient"] != 0
     if verdict.status == NOT_CHOOSABLE:
         assert cert["kind"] == "BadAssignment"
         pattern = pattern_of(verdict)
@@ -237,9 +242,13 @@ def test_a_component_choosable_without_a_witness_gives_its_certificate(wheel_fir
     verdict = pipeline_decide(p)
     assert verdict.status == CHOOSABLE
     vertices = list(range(6)) if wheel_first else list(range(4, 10))
-    assert verdict.certificate == {
-        "kind": "AllPatternsColorable", "count": 1, "vertices": vertices
-    }
+    # the cycle's own witness is listed beside the wheel's certificate
+    wheel_cert = {"kind": "AllPatternsColorable", "count": 1, "vertices": vertices}
+    cycle_cert = dict(pipeline_decide(cycle(4)).certificate,
+                      vertices=list(range(6, 10)) if wheel_first else list(range(4)))
+    parts = [wheel_cert, cycle_cert] if wheel_first else [cycle_cert, wheel_cert]
+    assert verdict.certificate == {"kind": "AllPatternsColorable", "components": parts}
+    assert_certificate_holds(p, verdict)
     assert verdict.details["reductions"]["components"] == 2
     # the wheel's details, in the union's numbering
     wheel_edges = pipeline_decide(wheel()).details["deletable_edges"]
