@@ -206,6 +206,7 @@ def _print_decide(report: dict) -> None:
         print("reason: %s" % report["reason"])
     details = report["details"]
     for key in (
+        "nested_lists",
         "constraint_rank",
         "constraint_rows_offered",
         "feasible_vectors",

@@ -4,13 +4,16 @@ Every problem takes one path.  Exact reductions delete vertices whose
 lists are too long or single, split the rest into components and
 refute Gallai trees.  On each component left, the standard test looks
 for any surviving monomial of full degree, which certifies
-choosability.  The extended path keeps tight-marker terms, turns every
-group with a common degree base into a linear constraint on the 0/1
-characteristic vectors of colors, and works through feasible vectors
-to candidate list assignments (deletable edges are only reported).
-Each goes to the coloring search as the pattern search finds it, and
-the first one that cannot be colored ends the search; when every one
-colors, or there is none, the component is choosable.
+choosability.  Where it finds none, or the degree count rules out both
+products, lists L(v) = {1, ..., s(v)} that cannot be colored refute the
+component (Erdos, Rubin, Taylor 1979).  The extended path keeps
+tight-marker terms, turns every group with a common degree base into a
+linear constraint on the 0/1 characteristic vectors of colors, and
+works through feasible vectors to candidate list assignments (deletable
+edges are only reported).  Each goes to the coloring search as the
+pattern search finds it, and the first one that cannot be colored ends
+the search; when every one colors, or there is none, the component is
+choosable.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -460,28 +464,46 @@ def pipeline_decide(p: Problem, **settings) -> Verdict:
     return Verdict(CHOOSABLE, cert, details=details)
 
 
+def _refute_nested(p: Problem, color, details) -> Verdict | None:
+    """NOT_CHOOSABLE when the nested lists L(v) = {1, ..., s(v)} cannot be
+    colored by ``color``, with them as the ``BadAssignment`` in the pattern
+    stage's form (color c on every v with s(v) >= c, equal consecutive
+    vectors merged), else None; ``details["nested_lists"]`` says which."""
+    vectors = [tuple(int(size >= c) for size in p.s) for c in range(1, max(p.s) + 1)]
+    nested = tuple((vec, len(list(run))) for vec, run in groupby(vectors))
+    colored = color(nested) is not None
+    details["nested_lists"] = "colored" if colored else "uncolorable"
+    if colored:
+        return None
+    return Verdict(NOT_CHOOSABLE, {"kind": "BadAssignment", "pattern": nested}, details=details)
+
+
 def _run_stages(p: Problem, settings: Settings) -> Verdict:
     """The stages of ``pipeline_decide`` on one component, as a Verdict
     with their own details: the standard test, after which mode
-    "standard" stops; constraint collection; the feasible-vector scan;
-    deletable edges; and the pattern search, which colors each candidate
-    assignment as it is found and stops at the first that cannot be
-    colored: the list's last pattern, colored once more to tell it from a
-    list that ran out, is the ``BadAssignment``.  Every
-    assignment coloring, none at all included, gives
-    ``AllPatternsColorable``.  A stage that cannot finish gives UNKNOWN,
-    its reason from the table ``_GIVE_UPS`` and its findings so far kept.
-    No list may be longer than its vertex's degree, as after R1.  First
-    the degree count: a witness needs m <= room = sum(s(v) - 1), and a
-    row, one unit more at one vertex, m <= room + 1; else no product runs."""
+    "standard" stops; the nested lists, which refute when they cannot be
+    colored, by the colorer the pattern search then shares; constraint
+    collection; the feasible-vector scan; deletable edges; and the
+    pattern search, which colors each candidate assignment as it is found
+    and stops at the first that cannot be colored: the list's last
+    pattern, colored once more to tell it from a list that ran out, is
+    the ``BadAssignment``.  Every assignment coloring, none at all
+    included, gives ``AllPatternsColorable``.  A stage that cannot finish
+    gives UNKNOWN, its reason from the table ``_GIVE_UPS`` and its
+    findings so far kept.  No list may be longer than its vertex's
+    degree, as after R1.  First the degree count: a witness needs
+    m <= room = sum(s(v) - 1), and a row, one unit more at one vertex,
+    m <= room + 1; else no product runs, and in mode "pipeline" only the
+    nested lists are tried."""
     room = sum(p.s) - p.n
     details = {"degree_bound": {"m": p.m, "room": room}}
     standard = settings.mode == "standard"
     if p.m > room + (not standard):
-        if not standard:
-            details["constraint_rank"] = 0
-        return Verdict(UNKNOWN, reason="NoWitness" if standard else "NoConstraints",
-                       details=details)
+        if standard:
+            return Verdict(UNKNOWN, reason="NoWitness", details=details)
+        details["constraint_rank"] = 0
+        return _refute_nested(p, oracle.pattern_colorer(p), details) or Verdict(
+            UNKNOWN, reason="NoConstraints", details=details)
     ordering = order_vertices(p, settings.heuristic)
     details["ordering"] = {"heuristic": ordering.heuristic, "estimate": ordering.estimate}
     try:
@@ -496,6 +518,9 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
                 return Verdict(CHOOSABLE, cert, details=details)
         if standard:
             return Verdict(UNKNOWN, reason="NoWitness", details=details)
+        color = oracle.pattern_colorer(p)
+        if refuted := _refute_nested(p, color, details):
+            return refuted
         basis, stats = collect_constraints(p, ordering, settings.branch_limit)
         details["extended_stats"] = asdict(stats)
         details["constraint_rank"] = basis.rank
@@ -507,7 +532,6 @@ def _run_stages(p: Problem, settings: Settings) -> Verdict:
         details["feasible_vectors"] = len(masks)
         details["deletable_edges"] = [list(e) for e in find_deletable_edges(masks, p)]
 
-        color = oracle.pattern_colorer(p)
         patterns = enumerate_assignment_patterns(masks, p.s, settings.pattern_cap,
                                                  lambda pattern: color(pattern) is None)
     except tuple(_GIVE_UPS) as exc:

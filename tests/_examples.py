@@ -65,11 +65,19 @@ def second_pattern_bad():
     return Problem(n=6, s=(2, 2, 2, 2, 3, 2), edges=edges, name="q")
 
 
+def first_pattern_bad():
+    # lists of 2 and one of 3, no deletable edge: the nested lists color,
+    # and the first candidate pattern is bad
+    edges = ((0, 1), (0, 2), (0, 3), (1, 3), (1, 5), (2, 4), (3, 4), (3, 5))
+    return Problem(n=6, s=(2, 3, 2, 2, 2, 2), edges=edges, name="first")
+
+
 def theta():
-    # a 49-cycle with an ear of length 2 on one edge, lists of 2: no
-    # reduction applies, the product leaves one constraint row, and its 49
-    # free entries are past the feasible scan's cap
-    edges = cycle(49).edges + ((0, 49), (1, 49))
+    # a 48-cycle with an ear of length 3 on one edge, lists of 2: no
+    # reduction applies, the graph is bipartite, so the nested lists color,
+    # the product leaves one constraint row, and its 49 free entries are
+    # past the feasible scan's cap
+    edges = cycle(48).edges + ((0, 48), (1, 49), (48, 49))
     return Problem(n=50, s=(2,) * 50, edges=edges, name="theta")
 
 

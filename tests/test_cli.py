@@ -29,7 +29,8 @@ from choosability.graphs import FIXED_HEURISTICS, format_problem, generate_famil
 from choosability.graphs import order_vertices, parse_problem, product_estimate
 from choosability.poly import CoefficientOverflow, merge2
 
-from _examples import complete, cycle, diamond, fan, k33, second_pattern_bad, theta
+from _examples import complete, cycle, diamond, fan, first_pattern_bad, k33, second_pattern_bad
+from _examples import theta
 
 
 def write_problem(tmp_path, p):
@@ -106,6 +107,8 @@ def test_decide_json_matches_library(tmp_path, capsys, mode):
     assert report["reason"] == verdict.reason
     assert report["details"] == verdict.details
     assert "deleted_edges" not in report["details"]
+    # the nested lists are tried only past the standard stage of a pipeline
+    assert report["details"].get("nested_lists") == ("colored" if mode == "pipeline" else None)
     assert report["config"]["mode"] == mode
     assert "backend" not in report["config"]
     # compact: the whole report on one line, keys sorted
@@ -152,10 +155,16 @@ def test_an_interrupt_in_the_product_is_not_caught(tmp_path, monkeypatch):
 def test_decide_text_report_details(tmp_path, capsys):
     path = write_problem(tmp_path, fan())
     _, out, _ = run_cli(capsys, ["decide", path, "--heuristic", "MD+PROC"])
+    assert "nested lists: colored" in out.splitlines()
     assert "constraint rank: 3" in out
     assert "constraint rows offered: 5" in out
     assert "deletable edges: [[2, 3]]" in out
     assert "config: mode=pipeline heuristic=MD+PROC branch-limit=100000" in out
+    _, out, _ = run_cli(capsys, ["decide", path, "--mode", "standard"])
+    assert "nested lists" not in out
+    # two colors on the diamond's triangles: the nested lists refute it
+    _, out, _ = run_cli(capsys, ["decide", write_problem(tmp_path, diamond())])
+    assert "nested lists: uncolorable" in out.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -269,8 +278,8 @@ def _bad_pattern(report):
 
 
 def test_decide_pattern_cap_flag(tmp_path, capsys):
-    # the diamond's first pattern is bad, so cap 1 is enough to refute it
-    first = diamond()
+    # here the first pattern is bad, so cap 1 is enough to refute it
+    first = first_pattern_bad()
     path = write_problem(tmp_path, first)
     code, out, _ = run_cli(capsys, ["decide", path, "--pattern-cap", "1", "--json"])
     assert code == 1

@@ -49,6 +49,7 @@ from _examples import (
     cycle,
     diamond,
     fan,
+    first_pattern_bad,
     k33,
     random_problem,
     second_pattern_bad,
@@ -395,7 +396,8 @@ def test_feasible_enumeration_matches_an_exact_check_of_every_vector(case):
 
 def test_feasible_enumeration_matches_the_scan_over_all_masks(monkeypatch):
     # every scan the pipeline makes on the coefficient corpus and on
-    # tight-12 gives the masks of the 2^n subset-sum scan it replaced
+    # tight-12 gives the masks of the 2^n subset-sum scan it replaced; the
+    # nested lists refute three corpus problems that reached a scan before
     scan, ns = decide_module.enumerate_feasible_vectors, []
 
     def both(basis, n, cap=decide_module.DEFAULT_FEASIBLE_CAP):
@@ -409,7 +411,7 @@ def test_feasible_enumeration_matches_the_scan_over_all_masks(monkeypatch):
     tight = parse_problem((Path(__file__).parent / "tight-12.prob").read_text())
     for p in coefficient_corpus() + [tight]:
         pipeline_decide(p)
-    assert len(ns) == 10 and ns[-1] == 12
+    assert len(ns) == 7 and ns[-1] == 12
 
 
 def test_feasible_enumeration_refuses_a_row_past_its_primes():
@@ -696,9 +698,16 @@ def test_no_term_survives_past_the_degree_count(mode, slack):
     assert 10 <= past < 80
 
 
+def nested_lists(s):
+    """L(v) = {1, ..., s(v)} as a pattern: the colors between two adjacent
+    list sizes lo < hi sit on every v with s(v) >= hi."""
+    sizes = sorted(set(s))
+    return tuple((tuple(int(x >= hi) for x in s), hi - lo) for lo, hi in zip([0] + sizes, sizes))
+
+
 @pytest.mark.parametrize("mode", decide_module.MODES)
 def test_the_degree_count_decides_as_the_products_do(mode):
-    skipped = 0
+    skipped, refuted = 0, 0
     for p in stage_inputs(31):
         verdict = decide_module._run_stages(p, decide_module.Settings(mode=mode))
         skipped += "ordering" not in verdict.details
@@ -710,7 +719,14 @@ def test_the_degree_count_decides_as_the_products_do(mode):
             expected = (CHOOSABLE, cert, None)
         elif mode == "standard":
             expected = (UNKNOWN, None, "NoWitness")
+        elif color_from_pattern(p, nested_lists(p.s)) is None:
+            # refuted before any constraint product, past the count or not
+            assert verdict.details["nested_lists"] == "uncolorable", p
+            assert "extended_stats" not in verdict.details, p
+            refuted += 1
+            expected = (NOT_CHOOSABLE, {"kind": "BadAssignment", "pattern": nested_lists(p.s)}, None)
         else:
+            assert verdict.details["nested_lists"] == "colored", p
             basis, _ = collect_constraints(p, ordering)
             assert verdict.details["constraint_rank"] == basis.rank, p
             if basis.rank:
@@ -720,28 +736,53 @@ def test_the_degree_count_decides_as_the_products_do(mode):
             expected = (UNKNOWN, None, "NoConstraints")
         assert (verdict.status, verdict.certificate, verdict.reason) == expected, p
     assert skipped >= 10
+    assert refuted >= 10 if mode == "pipeline" else refuted == 0
 
 
 def test_the_degree_count_skips_both_products_on_k33():
+    # bipartite, so the nested lists color it, and the UNKNOWN stands
     verdict = pipeline_decide(k33())
     assert (verdict.status, verdict.certificate, verdict.reason) == (
         UNKNOWN, None, "NoConstraints"
     )
     assert verdict.details["degree_bound"] == {"m": 9, "room": 6}
     assert verdict.details["constraint_rank"] == 0
-    assert set(verdict.details) == {"reductions", "degree_bound", "constraint_rank"}
+    assert verdict.details["nested_lists"] == "colored"
+    assert set(verdict.details) == {"reductions", "degree_bound", "constraint_rank",
+                                    "nested_lists"}
+    # the 5-wheel with lists of 2 fails the count too, and its triangles
+    # leave two colors short: the nested lists refute it, with no ordering
+    verdict = pipeline_decide(Problem(n=6, s=(2,) * 6, edges=wheel().edges))
+    assert (verdict.status, verdict.certificate) == (NOT_CHOOSABLE, {
+        "kind": "BadAssignment",
+        "pattern": [{"vector": [1] * 6, "multiplicity": 2}],
+    })
+    assert verdict.details["degree_bound"] == {"m": 10, "room": 6}
+    assert set(verdict.details) == {"reductions", "degree_bound", "constraint_rank",
+                                    "nested_lists"}
 
 
 def test_the_degree_count_skips_only_the_standard_product_on_the_diamond():
-    # m = 5 = room + 1: no witness can survive, but a row can
+    # m = 5 = room + 1: no witness can survive, but a row can; the nested
+    # lists, two colors on two triangles, refute it before the row product
     verdict = pipeline_decide(diamond())
     assert verdict.details["degree_bound"] == {"m": 5, "room": 4}
     assert "standard_stats" not in verdict.details
-    assert "extended_stats" in verdict.details
+    assert "extended_stats" not in verdict.details
+    assert verdict.details["nested_lists"] == "uncolorable"
     assert (verdict.status, verdict.certificate) == (NOT_CHOOSABLE, {
         "kind": "BadAssignment",
         "pattern": [{"vector": [1, 1, 1, 1], "multiplicity": 2}],
     })
+    # K_{2,3} with lists of 2 meets the row bound too, and is bipartite:
+    # the nested lists color, and the rows prove it choosable
+    k23 = Problem(n=5, s=(2,) * 5, edges=tuple((a, b) for a in range(2) for b in range(2, 5)))
+    verdict = pipeline_decide(k23)
+    assert verdict.details["degree_bound"] == {"m": 6, "room": 5}
+    assert "standard_stats" not in verdict.details
+    assert "extended_stats" in verdict.details
+    assert verdict.details["nested_lists"] == "colored"
+    assert (verdict.status, verdict.certificate["kind"]) == (CHOOSABLE, "AllPatternsColorable")
 
 
 def test_pipeline_rejects_unknown_mode():
@@ -796,10 +837,11 @@ def _assert_refuted(p, verdict, **limits):
 
 
 def test_pipeline_pattern_cap_without_deletable_edges():
-    # the diamond's first pattern is bad, so cap 1 is enough to refute it
-    capped = pipeline_decide(diamond(), pattern_cap=1)
-    _assert_refuted(diamond(), capped)
-    assert capped.certificate == pipeline_decide(diamond()).certificate
+    # here the first pattern is bad, so cap 1 is enough to refute it
+    capped = pipeline_decide(first_pattern_bad(), pattern_cap=1)
+    _assert_refuted(first_pattern_bad(), capped)
+    assert capped.details["nested_lists"] == "colored"
+    assert capped.certificate == pipeline_decide(first_pattern_bad()).certificate
     assert capped.details["pattern_count"] == 1
     assert capped.details["deletable_edges"] == []
     # here the first pattern colors and the second is bad
@@ -951,6 +993,21 @@ def test_r28_94_is_settled_past_25_vertices():
     assert verdict.details["constraint_rank"] == 27
 
 
+def test_r26_23_is_refuted_before_the_extended_product():
+    # 26 vertices and 52 edges, not 3-colorable: the nested lists refute
+    # it, where the extended product, the scan of its 2^24 feasible vectors
+    # and the pattern walk over them took 11-14 s and 1.6 GB
+    p = parse_problem((Path(__file__).parent / "r26-23.prob").read_text())
+    start = time.monotonic()
+    verdict = pipeline_decide(p)
+    assert time.monotonic() - start < 1.5
+    assert verdict.status == NOT_CHOOSABLE
+    assert verdict.certificate["pattern"] == [{"vector": [1] * 26, "multiplicity": 3}]
+    assert color_from_pattern(p, [((1,) * 26, 3)]) is None
+    assert verdict.details["nested_lists"] == "uncolorable"
+    assert "standard_stats" in verdict.details and "extended_stats" not in verdict.details
+
+
 def test_pipeline_overflow_is_reported(monkeypatch):
     def boom(*args, **kwargs):
         raise CoefficientOverflow("forced")
@@ -975,7 +1032,7 @@ def test_pipeline_overflow_in_the_extended_stage_is_reported(monkeypatch):
     verdict = pipeline_decide(fan())
     assert (verdict.status, verdict.certificate, verdict.reason) == (UNKNOWN, None, "Overflow")
     assert sorted(verdict.details) == [
-        "degree_bound", "ordering", "overflow", "reductions", "standard_stats"
+        "degree_bound", "nested_lists", "ordering", "overflow", "reductions", "standard_stats"
     ]
     assert verdict.details["overflow"] == "forced"
 
@@ -993,8 +1050,9 @@ def test_pipeline_reports_no_feasible_vectors(monkeypatch):
 
     monkeypatch.setattr(decide_module, "standard_alon_tarsi", fake_standard)
     monkeypatch.setattr(decide_module, "collect_constraints", fake_collect)
-    # R2 would refute this problem before any stage ran
-    p = Problem(n=2, s=(1, 1), edges=((0, 1),))
+    # R1 would delete both vertices before any stage ran; the nested
+    # lists color this edge, so the faked stages run
+    p = Problem(n=2, s=(2, 2), edges=((0, 1),))
     verdict = decide_module._run_stages(p, decide_module.Settings())
     # no nonzero vector, so no pattern: every admissible assignment colors
     assert (verdict.status, verdict.certificate, verdict.reason) == (

@@ -22,6 +22,7 @@ from choosability import (
     direct_coefficient,
     pipeline_decide,
 )
+from choosability import decide as decide_module
 from choosability.graphs import format_problem, generate_family
 
 from _examples import (
@@ -134,6 +135,33 @@ def test_staged_verdicts_match_brute_force_under_any_heuristic_and_limit(p, heur
     # force is most of the cost
     verdict = pipeline_decide(p, heuristic=heuristic, branch_limit=limit)
     assert_agrees_with_brute_force(p, verdict, brute_force_answer(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(staged_problems())
+def test_a_refutation_by_the_nested_lists_agrees_with_brute_force(p):
+    verdict = pipeline_decide(p)
+    if verdict.details.get("nested_lists") == "uncolorable":
+        assert verdict.status == NOT_CHOOSABLE
+        assert color_from_pattern(p, pattern_of(verdict)) is None
+        assert brute_force_choosable(p, max_total=16)[0] is False
+        assert_certificate_holds(p, verdict)
+
+
+def test_mode_standard_never_tries_the_nested_lists(monkeypatch):
+    tried = []
+    refute = decide_module._refute_nested
+    monkeypatch.setattr(decide_module, "_refute_nested",
+                        lambda *args: tried.append(args[0]) or refute(*args))
+    examples = [k33(), diamond(), fan(), second_pattern_bad(), wheel_extension(), cycle(4)]
+    for p in examples:
+        verdict = pipeline_decide(p, mode="standard")
+        assert "nested_lists" not in verdict.details
+    assert tried == []
+    # in mode "pipeline" every one but the 4-cycle, which has a witness
+    for p in examples:
+        pipeline_decide(p)
+    assert len(tried) == 5
 
 
 def test_disjoint_union_is_refuted_by_its_gallai_component():
