@@ -3,7 +3,9 @@
 Everything here is independent of the packed-term engine: coefficients
 come from orientation counting, colorability from backtracking search, and
 choosability from exhaustive enumeration of list assignments up to color
-renaming.  Intended for small instances and for validating the fast path.
+renaming, over those whose every color class induces a connected
+subgraph: an uncolorable assignment exists only if such a one does.
+Intended for small instances and for validating the fast path.
 
 Its enumeration, ``walk_patterns``, is also the pipeline's pattern
 search, and ``pattern_colorer`` its coloring search; the tests check both
@@ -289,7 +291,9 @@ def walk_patterns(masks, s, visit, max_nodes=None):
     componentwise sum s that ``visit`` accepts, or None.
 
     Over all nonzero masks these are the list assignments with sizes s up
-    to color renaming, which is all that colorability depends on.  A
+    to color renaming, which is all that colorability depends on; over
+    ``connected_masks``, those whose color classes are connected, which
+    is all that choosability depends on (``brute_force_choosable``).  A
     pattern is a tuple of (0/1 tuple, multiplicity) pairs, passed to
     ``visit`` as it is found and not kept: a walk can meet millions.
     Vectors go densest first, multiplicities counted down.  Past max_nodes
@@ -363,17 +367,42 @@ def pattern_json(pattern):
     return [{"vector": list(vec), "multiplicity": int(mult)} for vec, mult in pattern]
 
 
+def connected_masks(p: Problem) -> list[int]:
+    """The nonzero masks whose vertices induce a connected subgraph of p,
+    ascending: a breadth-first search per mask over p's 2^n masks."""
+    nbrs = [sum(1 << u for u in adj) for adj in p.adjacency()]
+    masks = []
+    for mask in range(1, 1 << p.n):
+        reached, frontier = 0, mask & -mask
+        while frontier:
+            reached |= frontier
+            grown = 0
+            for v in range(p.n):
+                if frontier >> v & 1:
+                    grown |= nbrs[v]
+            frontier = grown & mask & ~reached
+        if reached == mask:
+            masks.append(mask)
+    return masks
+
+
 def brute_force_choosable(
     p: Problem, max_vertices: int = 8, max_total: int = 24, max_nodes: int = 5_000_000
 ):
-    """``walk_patterns`` over every nonzero mask on p's vertices, each
-    pattern colored as it is found: (True, None) when every one colors,
-    else (False, the first that does not).  Refuses inputs beyond the
-    size limits, and searches past max_nodes calls, with OracleLimitError."""
+    """``walk_patterns`` over the connected masks of p, each pattern
+    colored as it is found: (True, None) when every one colors, else
+    (False, the first that does not).  Refuses inputs beyond the size
+    limits, and searches past max_nodes calls, with OracleLimitError.
+
+    The connected masks suffice.  If the vertices holding color c split
+    into parts A and B with no edge between them, giving B a new color
+    changes no list size and no colorability, either way; so p has an
+    uncolorable assignment with sizes s exactly when it has one whose
+    every color class induces a connected subgraph."""
     if p.n > max_vertices:
         raise OracleLimitError("too many vertices for brute force")
     if sum(p.s) > max_total:
         raise OracleLimitError("total list size too large for brute force")
     color = pattern_colorer(p)
-    witness = walk_patterns(np.arange(1 << p.n), p.s, lambda pat: color(pat) is None, max_nodes)
+    witness = walk_patterns(connected_masks(p), p.s, lambda pat: color(pat) is None, max_nodes)
     return (True, None) if witness is None else (False, witness)

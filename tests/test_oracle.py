@@ -223,7 +223,8 @@ def test_color_from_pattern_takes_huge_multiplicities():
 def test_the_colorer_agrees_with_the_certificate_checker(monkeypatch):
     # the patterns the pipeline walks on both corpora (the agreement
     # corpus's reach no pattern search) and on tight-12's 1,528, and brute
-    # force on 20 problems, as they color them and as a certificate checks
+    # force on all 100 agreement problems (it walks connected classes
+    # only), as they color them and as a certificate checks
     walked = {"pipeline": [], "brute": []}
     colorer = oracle.pattern_colorer
 
@@ -245,7 +246,7 @@ def test_the_colorer_agrees_with_the_certificate_checker(monkeypatch):
         tight = parse_problem((Path(__file__).parent / "tight-12.prob").read_text())
         pipeline_decide(tight, pattern_cap=1528)
         caller = "brute"
-        for p in agreement_corpus()[:20]:
+        for p in agreement_corpus():
             brute_force_choosable(p)
     assert len(walked["pipeline"]) > 1528 and len(walked["brute"]) > 10**4
     trimmed = 0
@@ -284,12 +285,27 @@ def test_brute_force_node_budget_is_enforced():
     )
 
 
-def _reference_brute_force(p):
+def _induces_connected(p, vec):
+    """Whether the vertices where vec is 1 induce a connected subgraph."""
+    inside = {v for v in range(p.n) if vec[v]}
+    seen, stack = set(), [min(inside)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(u for e in p.edges if v in e for u in e if u in inside)
+    return seen == inside
+
+
+def _reference_brute_force(p, connected_only=False):
     """The exhaustive search before skip-ahead: one call per vector and
-    multiplicity, a full coverage rescan at every node."""
+    multiplicity, a full coverage rescan at every node; over every nonzero
+    vector, or only those whose vertices induce a connected subgraph."""
     vectors = [
         tuple((mask >> v) & 1 for v in range(p.n)) for mask in range(1, 1 << p.n)
     ]
+    if connected_only:
+        vectors = [vec for vec in vectors if _induces_connected(p, vec)]
     vectors.sort(key=lambda vec: (-sum(vec), tuple(-x for x in vec)))
     residual = list(p.s)
     chosen = []
@@ -337,19 +353,29 @@ def test_brute_force_matches_the_reference_search():
         for i in range(40)
     ]
     problems += [cycle(3), cycle(4), cycle(5), complete(4, 2), complete(4, 3), fan()]
-    outcomes = set()
+    outcomes, refuted = set(), 0
     for p in problems:
+        got = brute_force_choosable(p)
+        if not got[0]:  # a real bad assignment, its color classes connected
+            witness = got[1]
+            refuted += 1
+            assert all(_induces_connected(p, vec) for vec, _ in witness), p
+            assert [sum(vec[v] * mult for vec, mult in witness) for v in range(p.n)] == list(p.s)
+            assert color_from_pattern(p, witness) is None, p
         if p.n > 5 or sum(p.s) > 12:
             continue  # the reference search is slow past these sizes
-        got = brute_force_choosable(p)
-        assert got == _reference_brute_force(p), p
+        assert got == _reference_brute_force(p, connected_only=True), p
+        # the walk skips disconnected color classes; the verdict is the one
+        # every nonzero vector gives
+        assert got[0] == _reference_brute_force(p)[0], p
         outcomes.add(got[0])
-    assert outcomes == {True, False}
+    assert outcomes == {True, False} and refuted > 10
 
 
 # brute_force_choosable's answers on problems past the reference search's
 # sizes, recorded before the oracle and the pipeline shared one walk; the
-# witness is the first uncolorable pattern in the walk's order
+# witness is the first uncolorable pattern, with connected color classes,
+# in the walk's order
 FROZEN_BRUTE_FORCE = [
     ((3, 1, 1, 4, 1, 1), ((0, 1), (0, 4), (1, 3), (2, 3), (3, 4)), (True, None)),
     ((2, 1, 4, 2, 1, 1), ((0, 2), (0, 3), (0, 4), (2, 3), (2, 4)), (True, None)),
@@ -393,8 +419,11 @@ FROZEN_BRUTE_FORCE = [
             False,
             (
                 ((1, 1, 1, 1, 1, 1, 1, 1), 1),
-                ((1, 0, 1, 1, 1, 0, 0, 1), 1),
-                ((0, 0, 1, 1, 1, 0, 0, 0), 1),
+                ((1, 0, 0, 1, 1, 0, 0, 0), 1),
+                ((0, 0, 1, 0, 0, 0, 0, 1), 1),
+                ((0, 0, 1, 0, 0, 0, 0, 0), 1),
+                ((0, 0, 0, 1, 0, 0, 0, 0), 1),
+                ((0, 0, 0, 0, 1, 0, 0, 0), 1),
             ),
         ),
     ),
@@ -403,4 +432,7 @@ FROZEN_BRUTE_FORCE = [
 
 @pytest.mark.parametrize("s, edges, expected", FROZEN_BRUTE_FORCE)
 def test_brute_force_witness_order_at_six_to_eight_vertices(s, edges, expected):
-    assert brute_force_choosable(Problem(n=len(s), s=s, edges=edges)) == expected
+    p = Problem(n=len(s), s=s, edges=edges)
+    assert brute_force_choosable(p) == expected
+    if expected[1] is not None:
+        assert color_from_pattern(p, expected[1]) is None
